@@ -314,7 +314,7 @@ class Engine:
     def execute_batch(self, tasks: Sequence[Task]) -> list[object]:
         """Run executor tasks on the configured backend, in task order.
 
-        The generic entry point backing the search driver's beam expansion;
+        The generic entry point backing the beam searches' expansions;
         see :mod:`repro.engine.executor` for the task shapes.  Batch
         metering lands in :meth:`last_batch_stats`.
         """
@@ -327,7 +327,7 @@ class Engine:
         """Metering of the most recent batch call, or None before the first.
 
         Covers :meth:`speedup_many`, :meth:`run_many`, and
-        :meth:`execute_batch` (the search driver's expansions); see
+        :meth:`execute_batch` (the beam searches' expansions); see
         :class:`~repro.engine.executor.BatchStats` for the fields and the
         measured serial fraction.
         """

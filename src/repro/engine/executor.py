@@ -1,8 +1,8 @@
 """Pluggable execution backends for the engine's batch fan-out.
 
 ``EngineConfig(executor=...)`` selects how ``Engine.speedup_many``,
-``Engine.run_many``, and the search driver's beam expansion distribute their
-per-item work:
+``Engine.run_many``, and the beam searches' expansions (both directions,
+:mod:`repro.search.beam`) distribute their per-item work:
 
 * ``"serial"`` -- an in-order loop, no pool.  The reference semantics every
   other backend is differentially tested against, and the fastest choice for
@@ -99,9 +99,11 @@ class ExpandTask:
     """One beam-search expansion: speedup + moves + candidate evaluation.
 
     Executed by :func:`repro.search.driver.execute_expand_task`; the
-    payload carries everything the driver's consumption loop needs so the
-    CPU-heavy parts (derivation, move generation, compression, canonical
-    hashing, 0-round decisions) all happen backend-side.
+    payload carries everything the lower-bound policy's ``consume`` needs
+    when the shared beam loop (:func:`repro.search.beam.beam_search`) hands
+    it over, so the CPU-heavy parts (derivation, move generation,
+    compression, canonical hashing, 0-round decisions) all happen
+    backend-side.
     """
 
     problem: Problem
@@ -113,11 +115,13 @@ class ExpandTask:
 class ChaseTask:
     """One upper-bound chase expansion: hardenings + speedups + 0-round checks.
 
-    Executed by :func:`repro.search.upper.execute_chase_task`: the state's
-    problem and each of its hardening restrictions get one speedup
-    derivation, and every *derived* problem gets a memoised 0-round decision
-    (hardened problems themselves never do -- a restriction cannot become
-    0-round solvable when its source is not, see ``search/upper.py``).
+    Executed by :func:`repro.search.upper.execute_chase_task`, and its
+    payload consumed by the upper-bound policy inside the shared beam loop
+    (:func:`repro.search.beam.beam_search`): the state's problem and each
+    of its hardening restrictions get one speedup derivation, and every
+    *derived* problem gets a memoised 0-round decision (hardened problems
+    themselves never do -- a restriction cannot become 0-round solvable
+    when its source is not, see ``search/upper.py``).
     """
 
     problem: Problem
@@ -134,7 +138,7 @@ class ExpandOption:
     ``move`` is ``None`` for the derived problem itself, else the relaxation
     move that produced ``compressed``.  ``solvable`` is the memoised 0-round
     verdict; ``memo_hit`` records whether the executing engine's memo
-    already held it (the driver's local stats consume this).
+    already held it (the search's local stats consume this).
     """
 
     move: "RelaxationMove | None"
@@ -150,10 +154,10 @@ class ExpandPayload:
 
     ``options[0]`` is always the derived problem's own option; move options
     follow in move order, and are *absent* when the derived problem is
-    0-round solvable (its relaxations all are too -- the driver prunes the
+    0-round solvable (its relaxations all are too -- the search prunes the
     whole branch, so evaluating them would be wasted work).
     ``moves_generated`` still records how many moves existed, which the
-    driver's prune accounting needs.  ``limit_hit`` marks a derivation that
+    search's prune accounting needs.  ``limit_hit`` marks a derivation that
     tripped the engine's size guards (``result`` is then ``None``).
     """
 

@@ -38,9 +38,10 @@ with kinds
     The parent batch loop raises ``KeyboardInterrupt`` just before
     dispatching task ``i`` (consumed once).
 ``searchabort@d``
-    The search driver raises ``KeyboardInterrupt`` immediately after writing
-    the checkpoint for depth ``d`` (consumed once) -- the deterministic
-    stand-in for kill -9 in checkpoint/resume tests.
+    The beam search (either direction) raises ``KeyboardInterrupt``
+    immediately after writing the checkpoint for depth ``d`` (consumed
+    once) -- the deterministic stand-in for kill -9 in checkpoint/resume
+    tests.
 
 Plans activate through ``EngineConfig(fault_plan=...)`` or the
 ``REPRO_FAULT_PLAN`` environment variable; building an :class:`~repro.

@@ -26,6 +26,14 @@ terminal.  :func:`classify` (:mod:`repro.search.classify`) runs both and
 brackets the complexity into a :class:`ComplexityBracket` with a
 ``tight`` / ``gap`` / ``open`` verdict.
 
+Both directions run on one beam loop, :func:`repro.search.beam.beam_search`:
+the budgeted depth loop, per-depth deduplication, checkpoint/resume and the
+memoised 0-round verdict live there once.  :mod:`repro.search.driver` and
+:mod:`repro.search.upper` each supply only a direction policy -- the
+expansion task shipped to the executor, the terminal test (a chain revisit
+or a witnessed 0-round-solvable problem), root handling, and the stats and
+result types.
+
 Quickstart::
 
     from repro import Engine, sinkless_orientation

@@ -31,28 +31,29 @@ generate_hardenings`), fanned out over the engine's worker pool as
   description size; the best ``beam_width`` become the next beam.
 
 The chase is budgeted in speedup derivations like the lower-bound search,
-with one difference forced by the fan-out shape: a single expansion costs
-``1 + #hardenings`` derivations, so the budget is enforced per evaluated
-option and a depth may overshoot by at most one expansion's options.
+with one difference forced by the fan-out shape: every expanded state costs
+``1 + #hardenings`` derivations, charged as its options are consumed, while
+the remaining budget only caps how many states a depth expands.  A depth may
+therefore overshoot the budget by up to the sum of the hardening counts of
+the states it expanded, i.e. by at most ``states x max_hardenings``.
 
 Verification does not trust any of this: the emitted certificate re-derives
 every speedup, re-checks every hardening's restriction structurally, and
 re-validates the terminal witness as an algorithm
 (:meth:`~repro.core.certificate.UpperBoundCertificate.verify`).
 
-With ``checkpoint=True`` the beam state is durably serialized after every
-completed depth under ``cache_dir/checkpoints/`` exactly like the
-lower-bound search (same directory, same atomic-write discipline, same
-stale ``*.tmp`` sweep on entry), and ``resume=True`` continues an
-interrupted chase to the byte-identical certificate.
+The depth loop and the checkpoint/resume machinery are shared with the
+lower-bound search (:mod:`repro.search.beam`); this module holds only the
+direction policy.  ``checkpoint=True`` writes ``chase_``-prefixed files next to the
+lower search's, and ``resume=True`` continues an interrupted chase to the
+byte-identical certificate.
 """
 
 from __future__ import annotations
 
-import contextlib
-from dataclasses import dataclass
-from pathlib import Path
-from typing import TYPE_CHECKING, Any
+from collections.abc import Callable
+from dataclasses import asdict, dataclass, fields
+from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
     from repro.engine.engine import Engine
@@ -68,15 +69,13 @@ from repro.core.problem import Problem
 from repro.core.speedup import EngineLimitError
 from repro.core.zero_round import (
     ZeroRoundMemo,
-    ZeroRoundWitness,
-    is_zero_round_solvable,
     zero_round_no_input,
     zero_round_with_orientations,
 )
-from repro.engine.executor import ChaseOption, ChasePayload, ChaseTask, Task
-from repro.engine.resilience import TaskFailure
+from repro.engine.engine import get_default_engine
+from repro.engine.executor import ChaseOption, ChasePayload, ChaseTask
+from repro.search.beam import BeamPolicy, BeamState, beam_search, zero_round_verdict
 from repro.search.moves import RelaxationMove, generate_hardenings
-from repro.utils.jsonio import atomic_write_json, load_json, sweep_stale_tmp_files
 
 KIND_UPPER_BOUND = "upper-bound"
 KIND_EXHAUSTED = "exhausted"
@@ -97,17 +96,7 @@ class ChaseStats:
     task_failures: int = 0
 
     def to_dict(self) -> dict[str, object]:
-        return {
-            "speedup_calls": self.speedup_calls,
-            "states_expanded": self.states_expanded,
-            "candidates_generated": self.candidates_generated,
-            "duplicates_pruned": self.duplicates_pruned,
-            "hardenings_generated": self.hardenings_generated,
-            "limit_hits": self.limit_hits,
-            "zero_round_checks": self.zero_round_checks,
-            "zero_round_memo_hits": self.zero_round_memo_hits,
-            "task_failures": self.task_failures,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -167,34 +156,20 @@ class ChaseResult:
         return "\n".join(lines)
 
 
-@dataclass(frozen=True)
-class _ChaseState:
-    """A partial certificate: current problem plus the chain that reached it."""
-
-    problem: Problem
-    steps: tuple[CertificateStep, ...]
-    chain_keys: tuple[str, ...]
-
-    @property
-    def score(self) -> tuple[int, int]:
-        return (self.problem.description_size, len(self.problem.labels))
-
-
 def execute_chase_task(engine: Engine, task: ChaseTask) -> ChasePayload:
     """Run one chase expansion: hardenings, speedups, 0-round decisions.
 
     The backend-side half of the chase (:class:`~repro.engine.executor.
     ChaseTask`): the state's own problem and each hardening restriction get
     one speedup derivation, and every successfully *derived* problem gets a
-    compressed canonical hash plus a memoised 0-round decision, mirroring
-    :func:`repro.search.driver.execute_expand_task`'s evaluation.  Size-guard
-    trips come back as per-option ``limit_hit`` records (the other options
-    of the same expansion are unaffected -- a hardened target can blow past
-    the caps its sibling stays under).
+    compressed canonical hash plus a memoised 0-round decision
+    (:func:`~repro.search.beam.zero_round_verdict`, as in
+    :func:`repro.search.driver.execute_expand_task`).  Size-guard trips come
+    back as per-option ``limit_hit`` records (the other options of the same
+    expansion are unaffected -- a hardened target can blow past the caps its
+    sibling stays under).
     """
     moves = generate_hardenings(task.problem, max_moves=task.max_hardenings)
-    orientations = engine.config.orientations
-    memo = engine.zero_round_memo
 
     def evaluate(move: RelaxationMove | None) -> ChaseOption:
         target = task.problem if move is None else move.target
@@ -202,145 +177,109 @@ def execute_chase_task(engine: Engine, task: ChaseTask) -> ChasePayload:
             result = engine.speedup(target)
         except EngineLimitError:
             return ChaseOption(
-                move=move, result=None, limit_hit=True,
-                key="", solvable=False, memo_hit=False,
+                move, None, limit_hit=True, key="", solvable=False, memo_hit=False
             )
-        # The verdict runs on the compressed form whose canonical hash
-        # doubles as the chase's dedup key (0-round solvability is
-        # compression-invariant), exactly like the lower-bound expansion.
         compressed = result.full.compressed()
         key = canonical_hash(compressed)
-        if memo is None:
-            solvable = is_zero_round_solvable(compressed, orientations=orientations)
-            return ChaseOption(
-                move=move, result=result, limit_hit=False,
-                key=key, solvable=solvable, memo_hit=False,
-            )
-        memo_key = ZeroRoundMemo.key_from_hash(key, orientations)
-        verdict = memo.lookup(memo_key)
-        if verdict is not None:
-            return ChaseOption(
-                move=move, result=result, limit_hit=False,
-                key=key, solvable=verdict, memo_hit=True,
-            )
-        verdict = is_zero_round_solvable(compressed, orientations=orientations)
-        memo.store(memo_key, verdict)
+        solvable, memo_hit = zero_round_verdict(engine, compressed, key)
         return ChaseOption(
-            move=move, result=result, limit_hit=False,
-            key=key, solvable=verdict, memo_hit=False,
+            move, result, limit_hit=False, key=key, solvable=solvable, memo_hit=memo_hit
         )
 
-    options = [evaluate(None)]
-    for move in moves:
-        options.append(evaluate(move))
-    return ChasePayload(options=tuple(options), hardenings_generated=len(moves))
+    options = (evaluate(None), *(evaluate(move) for move in moves))
+    return ChasePayload(options=options, hardenings_generated=len(moves))
 
 
-class _Counters:
-    __slots__ = (
-        "speedup_calls",
-        "states_expanded",
-        "candidates_generated",
-        "duplicates_pruned",
-        "hardenings_generated",
-        "limit_hits",
-        "zero_round_checks",
-        "zero_round_memo_hits",
-        "task_failures",
-    )
+class _UpperBound(BeamPolicy[ChaseResult]):
+    """The upper-bound direction: stop at a witnessed 0-round-solvable problem."""
 
-    def __init__(self) -> None:
-        for name in self.__slots__:
-            setattr(self, name, 0)
+    prefix = "chase"
+    fanout_name = "max_hardenings"
+    charge_at_dispatch = False
+    prunes_revisits = True
+    keeps_compressed_chain = False
+    stat_names = tuple(field.name for field in fields(ChaseStats))
 
-    def snapshot(self) -> ChaseStats:
-        return ChaseStats(**{name: getattr(self, name) for name in self.__slots__})
+    def _result(
+        self, kind: str, certificate: UpperBoundCertificate | None = None
+    ) -> ChaseResult:
+        stats = ChaseStats(**self.counters.counts())
+        return ChaseResult(self.problem, kind, certificate, stats)
 
-    def restore(self, data: dict[str, Any]) -> None:
-        for name in self.__slots__:
-            setattr(self, name, int(data.get(name, 0)))
+    def _certified(self, state: BeamState) -> ChaseResult | None:
+        """The upper bound for a chain ending in a solvable problem, if witnessed.
 
+        The witness is always recomputed by the witness-producing procedures
+        on the *uncompressed* problem (the certificate's terminal must name
+        and solve the chain's real final problem).  None against a memoised
+        "solvable" verdict means the memo was wrong (a poisoned shared cache
+        file); the caller must then treat the candidate as unsolvable -- the
+        chase may lose a bound but can never emit a certificate it cannot
+        witness.
+        """
+        orientations = self.engine.config.orientations
+        find = zero_round_with_orientations if orientations else zero_round_no_input
+        witness = find(state.problem)
+        if witness is None:
+            return None
+        certificate = UpperBoundCertificate(
+            self.problem, witness, state.steps, orientations
+        )
+        return self._result(KIND_UPPER_BOUND, certificate)
 
-# -- checkpoint / resume -------------------------------------------------------
+    def root_result(self, root: BeamState) -> ChaseResult | None:
+        # The root check is the witness computation itself: a solvable root
+        # is a 0-step certificate, and the witness must exist for the
+        # uncompressed problem anyway.  The boolean still lands in the shared
+        # memo so later searches reuse it.
+        self.counters.add("zero_round_checks")
+        outcome = self._certified(root)
+        memo = self.engine.zero_round_memo
+        if memo is not None:
+            orientations = self.engine.config.orientations
+            memo_key = ZeroRoundMemo.key_from_hash(root.chain_keys[0], orientations)
+            memo.store(memo_key, outcome is not None)
+        return outcome
 
-#: Schema version of the chase checkpoint files.  They live in the same
-#: ``cache_dir/checkpoints/`` directory as the lower-bound search's (the
-#: ``chase_`` filename prefix keeps the two keyed apart) and follow the same
-#: discipline: atomic writes, parameter fingerprinting, silent fresh start
-#: on any mismatch, deletion on normal return.
-CHASE_CHECKPOINT_VERSION = 1
+    def task(self, state: BeamState) -> ChaseTask:
+        return ChaseTask(state.problem, max_hardenings=self.fanout)
 
-
-def _state_to_dict(state: _ChaseState) -> dict[str, object]:
-    return {
-        "problem": state.problem.to_dict(),
-        "steps": [step.to_dict() for step in state.steps],
-        "chain_keys": list(state.chain_keys),
-    }
-
-
-def _state_from_dict(data: dict[str, Any]) -> _ChaseState:
-    return _ChaseState(
-        problem=Problem.from_dict(data["problem"]),
-        steps=tuple(CertificateStep.from_dict(step) for step in data["steps"]),
-        chain_keys=tuple(str(key) for key in data["chain_keys"]),
-    )
-
-
-def _checkpoint_path(cache_dir: str | Path, root_key: str) -> Path:
-    # Root keys carry a "canon:" scheme prefix; keep filenames portable.
-    slug = root_key.replace(":", "_")
-    return Path(cache_dir) / "checkpoints" / f"chase_{slug}.json"
-
-
-def _write_checkpoint(
-    path: Path,
-    fingerprint: dict[str, object],
-    depth: int,
-    beam: list[_ChaseState],
-    visited: set[str],
-    counters: _Counters,
-) -> None:
-    """Persist the chase loop's state after one completed depth, best effort."""
-    atomic_write_json(
-        path,
-        {
-            "version": CHASE_CHECKPOINT_VERSION,
-            "fingerprint": fingerprint,
-            "depth": depth,
-            "beam": [_state_to_dict(state) for state in beam],
-            "visited": sorted(visited),
-            "counters": counters.snapshot().to_dict(),
-        },
-    )
-
-
-def _load_checkpoint(
-    path: Path, fingerprint: dict[str, object]
-) -> tuple[list[_ChaseState], set[str], dict[str, Any], int] | None:
-    """Reconstruct ``(beam, visited, counters, completed_depth)``.
-
-    Any corruption, schema mismatch, or parameter mismatch reads as "no
-    checkpoint": the chase starts fresh, which is always correct, just
-    slower.
-    """
-    payload = load_json(path)
-    if not isinstance(payload, dict):
+    def consume(
+        self, state: BeamState, payload: object, offer: Callable[[BeamState], None]
+    ) -> ChaseResult | None:
+        assert isinstance(payload, ChasePayload)
+        counters = self.counters
+        counters.add("hardenings_generated", payload.hardenings_generated)
+        for option in payload.options:
+            counters.add("speedup_calls")
+            if option.limit_hit or option.result is None:
+                counters.add("limit_hits")
+                continue
+            counters.add("candidates_generated")
+            counters.add_zero_round(option.memo_hit)
+            move, derived = option.move, option.result.full
+            steps: tuple[CertificateStep, ...] = (
+                CertificateStep(kind=SPEEDUP, problem=derived, speedup=option.result),
+            )
+            if move is not None:
+                hardening = CertificateStep(
+                    kind=HARDENING, problem=move.target, relaxation=move.certificate()
+                )
+                steps = (hardening,) + steps
+            candidate = state.extend(steps, option.key)
+            if not option.solvable:
+                offer(candidate)
+                continue
+            outcome = self._certified(candidate)
+            if outcome is not None:
+                return outcome
+            # The memoised verdict contradicts the witness search: the shared
+            # memo is poisoned.  Treat the candidate as unsolvable (see
+            # _certified) and keep chasing.
         return None
-    if payload.get("version") != CHASE_CHECKPOINT_VERSION:
-        return None
-    if payload.get("fingerprint") != fingerprint:
-        return None
-    try:
-        beam = [_state_from_dict(state) for state in payload["beam"]]
-        visited = {str(key) for key in payload["visited"]}
-        depth = int(payload["depth"])
-        counters = dict(payload["counters"])
-    except (KeyError, TypeError, ValueError, AttributeError):
-        return None
-    if not beam or depth < 1:
-        return None
-    return beam, visited, counters, depth
+
+    def exhausted(self, beam: list[BeamState]) -> ChaseResult:
+        return self._result(KIND_EXHAUSTED)
 
 
 def search_upper_bound(
@@ -365,219 +304,13 @@ def search_upper_bound(
     the checkpoint/resume contract (identical here, with ``chase_``-prefixed
     files in the same directory).
     """
-    if engine is None:
-        from repro.engine import get_default_engine
-
-        engine = get_default_engine()
+    engine = get_default_engine() if engine is None else engine
     config = engine.config
-    beam_width = config.chase_beam_width if beam_width is None else beam_width
-    max_hardenings = (
-        config.chase_max_hardenings if max_hardenings is None else max_hardenings
+    policy = _UpperBound(
+        engine,
+        problem,
+        beam_width=config.chase_beam_width if beam_width is None else beam_width,
+        fanout=config.chase_max_hardenings if max_hardenings is None else max_hardenings,
+        budget=config.chase_budget if budget is None else budget,
     )
-    budget = config.chase_budget if budget is None else budget
-    if max_steps < 1:
-        raise ValueError("max_steps must be positive")
-    if beam_width < 1 or max_hardenings < 0 or budget < 1:
-        raise ValueError(
-            "beam_width and budget must be positive, max_hardenings >= 0"
-        )
-    orientations = config.orientations
-
-    counters = _Counters()
-    memo = engine.zero_round_memo
-
-    def witness_for(candidate: Problem) -> ZeroRoundWitness | None:
-        """The actual 0-round algorithm for ``candidate``, in the run's setting.
-
-        Always recomputed by the witness-producing procedures on the
-        *uncompressed* problem (the certificate's terminal must name and
-        solve the chain's real final problem).  Returning None against a
-        memoised "solvable" verdict means the memo was wrong (a poisoned
-        shared cache file); the caller must then treat the candidate as
-        unsolvable -- the chase may lose a bound but can never emit a
-        certificate it cannot witness.
-        """
-        if orientations:
-            return zero_round_with_orientations(candidate)
-        return zero_round_no_input(candidate)
-
-    def finish_stats() -> ChaseStats:
-        return counters.snapshot()
-
-    root_compressed = problem.compressed()
-    root_key = canonical_hash(root_compressed)
-
-    checkpointing = checkpoint or resume
-    checkpoint_file: Path | None = None
-    if checkpointing and config.cache_dir is not None:
-        checkpoint_file = _checkpoint_path(config.cache_dir, root_key)
-        checkpoint_file.parent.mkdir(parents=True, exist_ok=True)
-        # Reclaim temp files that interrupted runs (search or chase; the
-        # directory is shared) abandoned next to the checkpoints.
-        sweep_stale_tmp_files(checkpoint_file.parent)
-    fingerprint: dict[str, object] = {
-        "root_key": root_key,
-        "max_steps": max_steps,
-        "beam_width": beam_width,
-        "max_hardenings": max_hardenings,
-        "budget": budget,
-        "orientations": orientations,
-    }
-
-    def discard_checkpoint() -> None:
-        if checkpoint_file is not None:
-            with contextlib.suppress(OSError):
-                checkpoint_file.unlink(missing_ok=True)
-
-    # The root check is the witness computation itself: a solvable root is
-    # a 0-step certificate, and the witness must exist for the uncompressed
-    # problem anyway.  The boolean still lands in the shared memo so later
-    # searches reuse it.
-    counters.zero_round_checks += 1
-    root_witness = witness_for(problem)
-    if memo is not None:
-        memo.store(
-            ZeroRoundMemo.key_from_hash(root_key, orientations),
-            root_witness is not None,
-        )
-    if root_witness is not None:
-        discard_checkpoint()
-        return ChaseResult(
-            problem=problem,
-            kind=KIND_UPPER_BOUND,
-            certificate=UpperBoundCertificate(
-                initial=problem,
-                witness=root_witness,
-                steps=(),
-                orientations=orientations,
-            ),
-            stats=finish_stats(),
-        )
-
-    root = _ChaseState(problem=problem, steps=(), chain_keys=(root_key,))
-    beam = [root]
-    visited = {root_key}
-    start_depth = 1
-    if resume and checkpoint_file is not None:
-        restored = _load_checkpoint(checkpoint_file, fingerprint)
-        if restored is not None:
-            beam, visited, saved_counters, completed_depth = restored
-            # The saved counters already include this run's root witness
-            # check (the original run performed it too), so restoring
-            # wholesale keeps the final stats identical to an
-            # uninterrupted run.
-            counters.restore(saved_counters)
-            start_depth = completed_depth + 1
-
-    plan = engine.fault_plan
-
-    for depth in range(start_depth, max_steps + 1):
-        # Each expansion costs at least one derivation (its own speedup), so
-        # the remaining budget bounds how many states may expand; the exact
-        # per-option charge happens on payload consumption below, which can
-        # overshoot by at most the final expansion's hardening fan-out.
-        to_expand = beam[: max(0, budget - counters.speedup_calls)]
-        if not to_expand:
-            break
-        counters.states_expanded += len(to_expand)
-        tasks: list[Task] = [
-            ChaseTask(problem=state.problem, max_hardenings=max_hardenings)
-            for state in to_expand
-        ]
-        payloads = engine.execute_batch(tasks)
-
-        candidates: list[_ChaseState] = []
-        frontier_keys: dict[str, int] = {}
-        for state, payload in zip(to_expand, payloads):
-            if isinstance(payload, TaskFailure):
-                counters.task_failures += 1
-                continue
-            assert isinstance(payload, ChasePayload)
-            counters.hardenings_generated += payload.hardenings_generated
-            for option in payload.options:
-                counters.speedup_calls += 1
-                if option.limit_hit or option.result is None:
-                    counters.limit_hits += 1
-                    continue
-                counters.candidates_generated += 1
-                counters.zero_round_checks += 1
-                if option.memo_hit:
-                    counters.zero_round_memo_hits += 1
-                move = option.move
-                derived = option.result.full
-                speedup_step = CertificateStep(
-                    kind=SPEEDUP, problem=derived, speedup=option.result
-                )
-                if move is None:
-                    steps = state.steps + (speedup_step,)
-                else:
-                    steps = state.steps + (
-                        CertificateStep(
-                            kind=HARDENING,
-                            problem=move.target,
-                            relaxation=move.certificate(),
-                        ),
-                        speedup_step,
-                    )
-                if option.solvable:
-                    terminal_witness = witness_for(derived)
-                    if terminal_witness is None:
-                        # Memoised verdict contradicts the witness search:
-                        # the shared memo is poisoned.  Treat the candidate
-                        # as unsolvable (see witness_for) and keep chasing.
-                        continue
-                    certificate = UpperBoundCertificate(
-                        initial=problem,
-                        witness=terminal_witness,
-                        steps=steps,
-                        orientations=orientations,
-                    )
-                    discard_checkpoint()
-                    return ChaseResult(
-                        problem=problem,
-                        kind=KIND_UPPER_BOUND,
-                        certificate=certificate,
-                        stats=finish_stats(),
-                    )
-                candidate = _ChaseState(
-                    problem=derived,
-                    steps=steps,
-                    chain_keys=state.chain_keys + (option.key,),
-                )
-                earlier = frontier_keys.get(option.key)
-                if earlier is not None:
-                    # Same problem reached twice this depth: keep the better
-                    # (smaller) chain description.
-                    counters.duplicates_pruned += 1
-                    if candidate.score < candidates[earlier].score:
-                        candidates[earlier] = candidate
-                    continue
-                if option.key in visited:
-                    # Revisiting any problem seen on any branch at an
-                    # earlier depth cannot shorten the chain to a terminal.
-                    counters.duplicates_pruned += 1
-                    continue
-                frontier_keys[option.key] = len(candidates)
-                visited.add(option.key)
-                candidates.append(candidate)
-
-        if not candidates:
-            break
-        candidates.sort(key=lambda state: (state.score, state.chain_keys[-1]))
-        beam = candidates[:beam_width]
-        if checkpointing and checkpoint_file is not None:
-            _write_checkpoint(
-                checkpoint_file, fingerprint, depth, beam, visited, counters
-            )
-        if plan is not None and plan.should_abort_search(depth):
-            # The deterministic stand-in for kill -9 in checkpoint/resume
-            # tests: die right after the depth's state is durable.
-            raise KeyboardInterrupt(f"injected chase abort after depth {depth}")
-
-    discard_checkpoint()
-    return ChaseResult(
-        problem=problem,
-        kind=KIND_EXHAUSTED,
-        certificate=None,
-        stats=finish_stats(),
-    )
+    return beam_search(policy, max_steps, checkpoint, resume)

@@ -11,9 +11,10 @@ Four layers of coverage:
   intervals all raise), ``from_dict`` cross-checks the serialized summary
   fields against the certificates, and the JSON form round-trips
   byte-identically.
-* **Checkpoint/resume.**  The chase killed after a durable depth resumes to
-  the identical result, and resuming without a checkpoint is a fresh run --
-  the same contract the lower-bound search pins in ``test_faults``.
+* **Checkpoint/resume.**  Resuming a classification without a checkpoint
+  is a fresh run.  The abort/resume, corruption and fingerprint contracts
+  of the chase's checkpoints are pinned next to the lower-bound search's in
+  ``test_faults``, where both directions share one parametrized battery.
 * **Property fuzz.**  Every classifiable catalog problem and ~200 seeded
   random problems: whenever certificates come back, construction already
   enforces ``min <= max`` (an inverted pair raises), both sides re-verify
@@ -34,7 +35,6 @@ from repro.core.certificate import (
 from repro.core.problem import Problem
 from repro.core.zero_round import ZeroRoundWitness
 from repro.engine import Engine, EngineConfig
-from repro.engine import faultinject
 from repro.problems import indegree_handshake, mis, sinkless_orientation
 from repro.problems.catalog import catalog, get_problem
 from repro.search.classify import ComplexityBracket, classify
@@ -189,35 +189,6 @@ def test_from_dict_rejects_tampered_summary(handshake_result, field, forged):
 
 
 # -- checkpoint / resume -------------------------------------------------------
-
-
-def test_chase_checkpoint_resume_reproduces_identical_result(tmp_path):
-    """A chase killed after a durable depth resumes to the identical outcome."""
-    problem = get_problem("3-coloring", 2)
-    caps = dict(max_derived_labels=2_000, max_candidate_configs=50_000)
-
-    reference = Engine(EngineConfig(cache_dir=tmp_path / "ref", **caps))
-    ref = reference.search_upper_bound(problem, max_steps=3)
-    assert ref.kind == KIND_EXHAUSTED and ref.stats.states_expanded >= 2
-
-    cache_dir = tmp_path / "ck"
-    doomed = Engine(
-        EngineConfig(cache_dir=cache_dir, fault_plan="searchabort@1", **caps)
-    )
-    with pytest.raises(KeyboardInterrupt):
-        doomed.search_upper_bound(problem, max_steps=3, checkpoint=True)
-    checkpoints = list((cache_dir / "checkpoints").glob("chase_*.json"))
-    assert len(checkpoints) == 1, "abort left no chase checkpoint behind"
-    faultinject.activate(None)
-
-    resumed_engine = Engine(EngineConfig(cache_dir=cache_dir, **caps))
-    resumed = resumed_engine.search_upper_bound(
-        problem, max_steps=3, checkpoint=True, resume=True
-    )
-    assert resumed.kind == ref.kind
-    assert resumed.stats.to_dict() == ref.stats.to_dict()
-    # Success consumes the checkpoint.
-    assert list((cache_dir / "checkpoints").glob("chase_*.json")) == []
 
 
 def test_classify_checkpoint_without_prior_state_is_fresh(tmp_path):

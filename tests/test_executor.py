@@ -9,6 +9,7 @@ key, no matter how many threads race renamed twins -- and the process tests
 prove real pickle round-trips through real worker processes.
 """
 
+import json
 import os
 import pickle
 import threading
@@ -20,11 +21,14 @@ from repro.core.speedup import EngineLimitError
 from repro.engine import Engine, EngineConfig
 from repro.engine.executor import (
     BatchStats,
+    ChasePayload,
+    ChaseTask,
     ExpandTask,
     RunTask,
     SpeedupTask,
     execute_task,
 )
+from repro.problems.catalog import get_problem
 
 BACKENDS = ("serial", "thread", "process")
 
@@ -105,21 +109,44 @@ def test_run_many_backends_agree_per_step(sc3, so3):
             assert shape == reference, backend
 
 
+def _search_outcome(result, bound):
+    stats = result.stats.to_dict()
+    # Memo *hit* counts are timing-dependent under concurrency (two
+    # simultaneous evaluations of one fresh key both miss); every other
+    # counter -- and the certificate itself -- must match exactly.
+    stats.pop("zero_round_memo_hits")
+    certificate = result.certificate
+    certificate_json = (
+        None if certificate is None else json.dumps(certificate.to_dict(), sort_keys=True)
+    )
+    return (result.kind, bound, certificate_json, stats)
+
+
+# Under these caps the superweak-2-coloring[2] chase generates hardenings,
+# trips a size limit and prunes duplicates; indegree-handshake[2] reaches a
+# 1-round upper bound.
+_CHASE_CAPS = dict(max_derived_labels=500, max_candidate_configs=20_000)
+_CHASED = (("superweak-2-coloring", 2), ("indegree-handshake", 2))
+
+
 def test_search_backends_agree(so3):
     reference = None
     for backend in BACKENDS:
-        engine = _engine(backend)
-        result = engine.search_lower_bound(so3, max_steps=3)
-        stats = result.stats.to_dict()
-        # Memo *hit* counts are timing-dependent under concurrency (two
-        # simultaneous evaluations of one fresh key both miss); every other
-        # counter -- and the certificate itself -- must match exactly.
-        stats.pop("zero_round_memo_hits")
-        outcome = (result.kind, result.bound, stats)
+        result = _engine(backend).search_lower_bound(so3, max_steps=3)
+        outcomes = [_search_outcome(result, result.bound)]
+        chase_engine = _engine(backend, **_CHASE_CAPS)
+        for name, delta in _CHASED:
+            chase = chase_engine.search_upper_bound(get_problem(name, delta), max_steps=3)
+            outcomes.append(_search_outcome(chase, chase.rounds))
         if reference is None:
-            reference = outcome
+            reference = outcomes
         else:
-            assert outcome == reference, backend
+            assert outcomes == reference, backend
+    superweak, handshake = reference[1], reference[2]
+    assert superweak[3]["hardenings_generated"] > 0
+    assert superweak[3]["limit_hits"] > 0
+    assert superweak[3]["duplicates_pruned"] > 0
+    assert handshake[:2] == ("upper-bound", 1)
 
 
 def test_batch_stats_recorded_per_backend(mixed_batch):
@@ -297,6 +324,7 @@ def test_tasks_and_payloads_pickle(sc3):
         SpeedupTask(sc3, True),
         RunTask(sc3, 2),
         ExpandTask(sc3, max_moves=4, beam_width=2),
+        ChaseTask(sc3, max_hardenings=2),
     ):
         clone = pickle.loads(pickle.dumps(task))
         assert clone == task
@@ -312,6 +340,13 @@ def test_execute_task_dispatch(sc3):
     assert expand_value.options[0].key == canonical_hash(
         expand_value.result.full.compressed()
     )
+    chase_value = execute_task(engine, ChaseTask(sc3, max_hardenings=2))
+    assert isinstance(chase_value, ChasePayload)
+    assert len(chase_value.options) == chase_value.hardenings_generated + 1
+    head = chase_value.options[0]
+    assert head.move is None
+    assert head.key == canonical_hash(head.result.full.compressed())
+    assert pickle.loads(pickle.dumps(chase_value)).options[0].key == head.key
 
 
 # -- parallel scaling (opt-in: needs real cores) -------------------------------

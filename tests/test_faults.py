@@ -14,7 +14,8 @@ and asserts the recovery contract:
 * a dead single-flight leader cannot strand its waiters;
 * interrupts leave no stale cache temp files behind;
 * a checkpointed search killed mid-flight resumes to a byte-identical,
-  independently verified certificate.
+  independently verified result -- in both directions, since the lower-bound
+  search and the upper-bound chase share one checkpoint implementation.
 
 The CI ``fault-matrix`` job re-runs this file under
 ``REPRO_EXECUTOR=thread`` and ``=process``; tests that exercise
@@ -30,6 +31,9 @@ import subprocess
 import sys
 import threading
 import time
+from collections.abc import Callable
+from dataclasses import dataclass, fields
+from typing import Any
 
 import pytest
 
@@ -44,6 +48,7 @@ from repro.engine import (
 )
 from repro.engine import faultinject
 from repro.engine.resilience import is_transient_fault
+from repro.search import ChaseStats, SearchStats
 from repro.problems import (
     coloring,
     mis,
@@ -408,35 +413,103 @@ def test_dead_leader_does_not_strand_waiters(monkeypatch):
 # ------------------------------------------------------- checkpoint/resume --
 
 
-def _certificate_json(outcome):
-    return json.dumps(outcome.certificate.to_dict(), sort_keys=True)
+@dataclass(frozen=True)
+class _Direction:
+    """One search direction, as the checkpoint tests drive it."""
+
+    prefix: str
+    fanout: str
+    stats: type
+    run: Callable[..., Any]
+    caps: dict[str, int]
+
+    def engine(self, **config):
+        return Engine(EngineConfig(**self.caps, **config))
 
 
-def test_checkpoint_resume_reproduces_identical_certificate(tmp_path):
-    """Acceptance: checkpointed search killed after depth 1 resumes to a
-    byte-identical certificate whose independent verification passes."""
-    prob = sinkless_orientation(3)
+_LOWER = _Direction(
+    prefix="search",
+    fanout="max_moves",
+    stats=SearchStats,
+    run=lambda engine, **knobs: engine.search_lower_bound(
+        sinkless_orientation(3), max_steps=6, **knobs
+    ),
+    caps={},
+)
+# 3-coloring[d=2] under these caps exhausts after more than one depth, so an
+# abort after depth 1 leaves a chase checkpoint behind.
+_UPPER = _Direction(
+    prefix="chase",
+    fanout="max_hardenings",
+    stats=ChaseStats,
+    run=lambda engine, **knobs: engine.search_upper_bound(
+        coloring(3, 2), max_steps=3, **knobs
+    ),
+    caps={"max_derived_labels": 2_000, "max_candidate_configs": 50_000},
+)
+_DIRECTIONS = [pytest.param(_LOWER, id="lower"), pytest.param(_UPPER, id="upper")]
 
-    reference = Engine(EngineConfig(cache_dir=tmp_path / "ref"))
-    ref = reference.search_lower_bound(prob, max_steps=6)
+
+def _result_json(outcome, *, memo_hits=True):
+    payload = outcome.to_dict()
+    if not memo_hits:
+        # A fallback run reads the zero-round memo its aborted predecessor
+        # persisted, so only its memo *hit* count may differ.
+        del payload["stats"]["zero_round_memo_hits"]
+    return json.dumps(payload, sort_keys=True)
+
+
+def _abort_after_depth_1(direction, cache_dir, **knobs):
+    doomed = direction.engine(cache_dir=cache_dir, fault_plan="searchabort@1")
+    with pytest.raises(KeyboardInterrupt):
+        direction.run(doomed, checkpoint=True, **knobs)
+    faultinject.activate(None)
+    (checkpoint,) = (cache_dir / "checkpoints").glob("*.json")
+    return checkpoint
+
+
+@pytest.mark.parametrize("direction", _DIRECTIONS)
+def test_checkpoint_resume_reproduces_identical_certificate(tmp_path, direction):
+    """Acceptance: a checkpointed run killed after depth 1 resumes to a
+    byte-identical result whose certificate (if any) verifies."""
+    ref = direction.run(direction.engine(cache_dir=tmp_path / "ref"))
+    assert ref.stats.states_expanded >= 2
 
     cache_dir = tmp_path / "ck"
-    doomed = Engine(EngineConfig(cache_dir=cache_dir, fault_plan="searchabort@1"))
-    with pytest.raises(KeyboardInterrupt):
-        doomed.search_lower_bound(prob, max_steps=6, checkpoint=True)
-    checkpoints = list((cache_dir / "checkpoints").glob("*.json"))
-    assert len(checkpoints) == 1, "abort left no checkpoint behind"
-    faultinject.activate(None)
-
-    resumed_engine = Engine(EngineConfig(cache_dir=cache_dir))
-    resumed = resumed_engine.search_lower_bound(
-        prob, max_steps=6, checkpoint=True, resume=True
+    _abort_after_depth_1(direction, cache_dir)
+    resumed = direction.run(
+        direction.engine(cache_dir=cache_dir), checkpoint=True, resume=True
     )
-    assert _certificate_json(resumed) == _certificate_json(ref)
-    assert resumed.certificate.verify().valid
-    assert resumed.stats.to_dict() == ref.stats.to_dict()
+    assert _result_json(resumed) == _result_json(ref)
+    if resumed.certificate is not None:
+        assert resumed.certificate.verify().valid
     # Success consumes the checkpoint.
     assert list((cache_dir / "checkpoints").glob("*.json")) == []
+
+
+@pytest.mark.parametrize("direction", _DIRECTIONS)
+def test_checkpoint_payload_keys_and_filename_are_pinned(tmp_path, direction):
+    """Resuming a checkpoint an earlier release wrote depends on this shape."""
+    checkpoint = _abort_after_depth_1(direction, tmp_path / "c")
+    assert checkpoint.name.startswith(f"{direction.prefix}_canon_")
+    payload = json.loads(checkpoint.read_text())
+    top = {"version", "fingerprint", "depth", "beam", "counters"}
+    state = {"problem", "steps", "chain_keys"}
+    if direction is _LOWER:
+        state.add("chain_compressed")
+    else:
+        top.add("visited")
+    assert set(payload) == top
+    assert payload["version"] == 1 and payload["depth"] == 1
+    assert set(payload["fingerprint"]) == {
+        "root_key", "max_steps", "beam_width", direction.fanout, "budget",
+        "orientations",
+    }
+    assert checkpoint.name == f"{direction.prefix}_" + (
+        payload["fingerprint"]["root_key"].replace(":", "_") + ".json"
+    )
+    assert all(set(entry) == state for entry in payload["beam"])
+    assert set(payload["counters"]) == {f.name for f in fields(direction.stats)}
 
 
 def test_resume_without_checkpoint_is_a_fresh_run(tmp_path):
@@ -447,38 +520,35 @@ def test_resume_without_checkpoint_is_a_fresh_run(tmp_path):
     assert outcome.certificate.verify().valid
 
 
-def test_corrupt_checkpoint_falls_back_to_fresh_run(tmp_path):
-    prob = sinkless_orientation(3)
+@pytest.mark.parametrize("direction", _DIRECTIONS)
+def test_corrupt_checkpoint_falls_back_to_fresh_run(tmp_path, direction):
     cache_dir = tmp_path / "c"
-    doomed = Engine(EngineConfig(cache_dir=cache_dir, fault_plan="searchabort@1"))
-    with pytest.raises(KeyboardInterrupt):
-        doomed.search_lower_bound(prob, max_steps=6, checkpoint=True)
-    faultinject.activate(None)
-    (checkpoint,) = (cache_dir / "checkpoints").glob("*.json")
+    checkpoint = _abort_after_depth_1(direction, cache_dir)
     checkpoint.write_text("{not json")
 
-    engine = Engine(EngineConfig(cache_dir=cache_dir))
-    outcome = engine.search_lower_bound(prob, max_steps=6, checkpoint=True, resume=True)
-    reference = Engine(EngineConfig()).search_lower_bound(prob, max_steps=6)
-    assert _certificate_json(outcome) == _certificate_json(reference)
+    engine = direction.engine(cache_dir=cache_dir)
+    outcome = direction.run(engine, checkpoint=True, resume=True)
+    reference = direction.run(direction.engine())
+    assert _result_json(outcome, memo_hits=False) == _result_json(
+        reference, memo_hits=False
+    )
 
 
-def test_checkpoint_fingerprint_mismatch_ignored(tmp_path):
+@pytest.mark.parametrize("direction", _DIRECTIONS)
+def test_checkpoint_fingerprint_mismatch_ignored(tmp_path, direction):
     """A checkpoint taken under different search parameters must not be
     resumed into -- wrong beam, wrong answer."""
-    prob = sinkless_orientation(3)
     cache_dir = tmp_path / "c"
-    doomed = Engine(EngineConfig(cache_dir=cache_dir, fault_plan="searchabort@1"))
-    with pytest.raises(KeyboardInterrupt):
-        doomed.search_lower_bound(prob, max_steps=6, checkpoint=True, beam_width=2)
-    faultinject.activate(None)
+    _abort_after_depth_1(direction, cache_dir, beam_width=2)
 
-    engine = Engine(EngineConfig(cache_dir=cache_dir))
-    outcome = engine.search_lower_bound(
-        prob, max_steps=6, checkpoint=True, resume=True, beam_width=3
+    engine = direction.engine(cache_dir=cache_dir)
+    outcome = direction.run(engine, checkpoint=True, resume=True, beam_width=3)
+    reference = direction.run(direction.engine(), beam_width=3)
+    assert _result_json(outcome, memo_hits=False) == _result_json(
+        reference, memo_hits=False
     )
-    assert outcome.certificate is not None
-    assert outcome.certificate.verify().valid
+    if outcome.certificate is not None:
+        assert outcome.certificate.verify().valid
 
 
 def test_search_survives_quarantined_expansion_tasks():

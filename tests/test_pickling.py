@@ -29,6 +29,7 @@ from repro.core.alphabet import InternedProblem, intern
 from repro.core.problem import Problem
 from repro.core.speedup import speedup
 from repro.engine import Engine
+from repro.problems import indegree_handshake
 from repro.problems.sinkless import sinkless_coloring, sinkless_orientation
 
 
@@ -98,6 +99,17 @@ def test_search_result_and_certificate_roundtrip(engine: Engine) -> None:
     assert clone.certificate.to_dict() == result.certificate.to_dict()
     assert clone.certificate.verify()
     assert clone.stats == result.stats
+
+
+def test_chase_result_and_certificate_roundtrip(engine: Engine) -> None:
+    result = engine.search_upper_bound(indegree_handshake(2), max_steps=2)
+    assert result.certificate is not None
+    clone = _roundtrip(result)
+    assert clone.to_dict() == result.to_dict()
+    assert clone.stats == result.stats
+    certificate = _roundtrip(result.certificate)
+    assert certificate.to_dict() == result.certificate.to_dict()
+    assert certificate.verify().valid
 
 
 def test_deepcopy_uses_the_same_machinery(engine: Engine) -> None:

@@ -23,7 +23,9 @@ STRING_LABEL_MODULES: frozenset[str] = frozenset(
         "diagram.py",
         "canonical.py",
         "moves.py",
+        "beam.py",
         "driver.py",
+        "upper.py",
     }
 )
 
@@ -74,15 +76,21 @@ PICKLABLE_CLASSES: frozenset[str] = frozenset(
         "RelaxationMove",
         "CertificateStep",
         "LowerBoundCertificate",
-        "_State",
+        "UpperBoundCertificate",
+        "BeamState",
         "SearchResult",
         "SearchStats",
+        "ChaseResult",
+        "ChaseStats",
         # Executor task/payload shapes shipped through the process pool.
         "SpeedupTask",
         "RunTask",
         "ExpandTask",
         "ExpandOption",
         "ExpandPayload",
+        "ChaseTask",
+        "ChaseOption",
+        "ChasePayload",
         "TaskResult",
     }
 )
