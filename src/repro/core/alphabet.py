@@ -99,7 +99,7 @@ class Alphabet:
     order (see the module docstring for why that order matters).
     """
 
-    __slots__ = ("names", "index", "size", "full_mask")
+    __slots__ = ("names", "index", "size", "full_mask", "_escaped")
 
     def __init__(self, labels: Iterable[Label]):
         self.names: tuple[Label, ...] = tuple(sorted(labels))
@@ -108,6 +108,7 @@ class Alphabet:
         }
         self.size: int = len(self.names)
         self.full_mask: LabelMask = LabelMask((1 << self.size) - 1)
+        self._escaped: tuple[Label, ...] | None = None
 
     def bit(self, label: Label) -> LabelMask:
         """The single-bit mask of one label."""
@@ -129,6 +130,18 @@ class Alphabet:
         """The labels of ``mask`` in sorted name order."""
         names = self.names
         return tuple(names[i] for i in iter_bits(mask))
+
+    def mask_name(self, mask: LabelMask) -> Label:
+        """The set-valued label name of ``mask``: ``set_label_name(members(mask))``.
+
+        Each member name is escaped once per alphabet, not once per label
+        that contains it; bits follow sorted name order, so joining the
+        escaped names in bit order is exactly ``set_label_name``'s sort.
+        """
+        escaped = self._escaped
+        if escaped is None:
+            escaped = self._escaped = tuple(_escape_member(name) for name in self.names)
+        return "{" + ",".join([escaped[i] for i in iter_bits(mask)]) + "}"
 
     def label_set(self, mask: LabelMask) -> frozenset[Label]:
         """The labels of ``mask`` as a frozenset (the legacy representation)."""
@@ -304,8 +317,9 @@ def mask_matching_exists(position_masks: Sequence[int]) -> bool:
 #
 # The naming helpers live with the kernel because the Alphabet owns the
 # int<->name mapping: every derived label name is produced from a mask via
-# these two functions, and the engine cache's renaming translation
-# (repro.engine.cache) must produce byte-identical names.
+# these two functions (or Alphabet.mask_name, which is byte-identical to
+# set_label_name over the mask's members), and the engine cache's renaming
+# translation (repro.engine.cache) must produce byte-identical names.
 
 _ESCAPED = ("\\", "{", "}", ",")
 

@@ -24,8 +24,9 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
-from typing import Any
 from functools import cached_property
+from itertools import chain
+from typing import Any
 
 from repro.utils.multiset import multiset
 
@@ -46,6 +47,23 @@ def node_config(labels: Iterable[Label]) -> NodeConfig:
 
 class ProblemError(ValueError):
     """Raised when a problem description is malformed."""
+
+
+def _mentioned(configs: Iterable[tuple[Label, ...]]) -> frozenset[Label]:
+    """Every label occurring in some configuration."""
+    return frozenset(chain.from_iterable(configs))
+
+
+def _pairs_within(
+    edges: frozenset[EdgeConfig], labels: frozenset[Label]
+) -> frozenset[EdgeConfig]:
+    return frozenset(pair for pair in edges if pair[0] in labels and pair[1] in labels)
+
+
+def _configs_within(
+    nodes: frozenset[NodeConfig], labels: frozenset[Label]
+) -> frozenset[NodeConfig]:
+    return frozenset(config for config in nodes if labels.issuperset(config))
 
 
 @dataclass(frozen=True)
@@ -77,10 +95,11 @@ class Problem:
     node_constraint: frozenset[NodeConfig]
 
     def __post_init__(self) -> None:
-        # Validation runs on every construction, including the full step's
-        # derived problems whose edge constraints reach hundreds of thousands
-        # of pairs, so the checks below are written allocation-free (direct
-        # comparisons instead of ``tuple(sorted(...))`` / ``set(...)``
+        # Validation runs once, where a problem enters the system (internal
+        # transforms use ``_from_canonical``).  Entering problems -- disk
+        # cache loads of derived problems included -- can carry hundreds of
+        # thousands of pairs, so the checks below are written allocation-free
+        # (direct comparisons instead of ``tuple(sorted(...))`` / ``set(...)``
         # round-trips) while raising the exact same errors.
         if self.delta < 1:
             raise ProblemError("delta must be at least 1")
@@ -121,13 +140,21 @@ class Problem:
     ) -> "Problem":
         """Trusted constructor that skips ``__post_init__`` validation.
 
-        For internal callers whose constraints are canonical by construction
-        -- the full step's direct materialisation emits sorted pairs and
-        tuples over its own freshly minted alphabet, and re-checking hundreds
-        of thousands of pairs would dominate the derivation.  Mirrors the
-        pickle path (:meth:`__setstate__`), which likewise restores fields
-        without re-validation.  All other construction goes through
-        ``Problem(...)`` or :meth:`make`.
+        Invariants are checked once, where a problem enters the system:
+        ``Problem(...)``, :meth:`make` and :meth:`from_dict`.  This
+        constructor is for transforms whose input was already validated and
+        which preserve the invariants by construction (canonical sorted
+        pairs and tuples, ``delta``-length node configurations, every
+        configuration label in ``labels``), so re-checking what can be
+        hundreds of thousands of pairs would only repeat work.  The pickle
+        path (:meth:`__setstate__`) likewise restores fields unchecked.
+
+        Sanctioned callers: this module's transforms (:meth:`with_name`,
+        :meth:`compressed`, :meth:`restricted`, :meth:`renamed`) and the full
+        step's materialisation in :mod:`repro.core.speedup`, which emits
+        sorted pairs and tuples over its own freshly minted alphabet.
+        Everything else goes through ``Problem(...)`` or :meth:`make`; the
+        ``trusted-constructor`` lint rule enforces this.
         """
         problem = object.__new__(cls)
         object.__setattr__(problem, "name", name)
@@ -186,9 +213,7 @@ class Problem:
         Only these can appear in a correct solution (the paper's compression
         remark in Section 4.2).
         """
-        in_edges = {label for pair in self.edge_constraint for label in pair}
-        in_nodes = {label for config in self.node_constraint for label in config}
-        return frozenset(in_edges & in_nodes)
+        return _mentioned(self.edge_constraint) & _mentioned(self.node_constraint)
 
     @cached_property
     def is_empty(self) -> bool:
@@ -197,32 +222,40 @@ class Problem:
 
     # -- transformations ------------------------------------------------------
 
+    def with_name(self, name: str) -> "Problem":
+        """This problem under another name, sharing its validated relations.
+
+        Returns ``self`` when the name is unchanged (problems are immutable).
+        """
+        if name == self.name:
+            return self
+        return Problem._from_canonical(
+            name, self.delta, self.labels, self.edge_constraint, self.node_constraint
+        )
+
     def compressed(self, name: str | None = None) -> "Problem":
         """Drop labels that cannot occur in any correct solution.
 
         Removing a label invalidates configurations that mention it, which can
         make further labels unusable, so the pruning iterates to a fixpoint.
-        The resulting problem has the same solutions as the original.
+        The resulting problem has the same solutions as the original.  When
+        no label drops (every derived problem is already compressed), no
+        relation is copied.
         """
-        labels = set(self.labels)
-        edges = set(self.edge_constraint)
-        nodes = set(self.node_constraint)
+        name = name if name is not None else self.name
+        labels = self.usable_labels
+        if len(labels) == len(self.labels):
+            return self.with_name(name)
+        edges = self.edge_constraint
+        nodes = self.node_constraint
         while True:
-            in_edges = {label for pair in edges for label in pair}
-            in_nodes = {label for config in nodes for label in config}
-            usable = in_edges & in_nodes
+            edges = _pairs_within(edges, labels)
+            nodes = _configs_within(nodes, labels)
+            usable = _mentioned(edges) & _mentioned(nodes)
             if usable == labels:
                 break
             labels = usable
-            edges = {pair for pair in edges if set(pair) <= usable}
-            nodes = {config for config in nodes if set(config) <= usable}
-        return Problem(
-            name=name if name is not None else self.name,
-            delta=self.delta,
-            labels=frozenset(labels),
-            edge_constraint=frozenset(edges),
-            node_constraint=frozenset(nodes),
-        )
+        return Problem._from_canonical(name, self.delta, labels, edges, nodes)
 
     def renamed(
         self, mapping: Mapping[Label, Label], name: str | None = None
@@ -238,14 +271,16 @@ class Problem:
         images = [mapping[label] for label in self.labels]
         if len(set(images)) != len(images):
             raise ProblemError("renaming is not injective")
-        return Problem(
-            name=name if name is not None else self.name,
-            delta=self.delta,
-            labels=frozenset(images),
-            edge_constraint=frozenset(
+        # A bijection of a valid problem's labels, re-sorted per configuration,
+        # yields a valid problem: no re-validation needed.
+        return Problem._from_canonical(
+            name if name is not None else self.name,
+            self.delta,
+            frozenset(images),
+            frozenset(
                 edge_config(mapping[a], mapping[b]) for a, b in self.edge_constraint
             ),
-            node_constraint=frozenset(
+            frozenset(
                 node_config(mapping[label] for label in config)
                 for config in self.node_constraint
             ),
@@ -262,16 +297,15 @@ class Problem:
         unknown = keep_set - self.labels
         if unknown:
             raise ProblemError(f"cannot restrict to unknown labels {sorted(unknown)}")
-        return Problem(
-            name=name if name is not None else f"{self.name}|restricted",
-            delta=self.delta,
-            labels=keep_set,
-            edge_constraint=frozenset(
-                pair for pair in self.edge_constraint if set(pair) <= keep_set
-            ),
-            node_constraint=frozenset(
-                config for config in self.node_constraint if set(config) <= keep_set
-            ),
+        name = name if name is not None else f"{self.name}|restricted"
+        if len(keep_set) == len(self.labels):
+            return self.with_name(name)
+        return Problem._from_canonical(
+            name,
+            self.delta,
+            keep_set,
+            _pairs_within(self.edge_constraint, keep_set),
+            _configs_within(self.node_constraint, keep_set),
         )
 
     # -- serialization --------------------------------------------------------
@@ -328,8 +362,9 @@ class Problem:
         ``__dict__`` accumulates derived state -- ``cached_property`` values
         and the interned bitmask view attached by
         :func:`repro.core.alphabet.intern` -- that can dwarf the description
-        itself on large derived problems.  Process-pool transfers (ROADMAP
-        item (a)) must ship the five fields and let the receiver re-derive.
+        itself on large derived problems.  Process-pool transfers (search
+        states, task results) must ship the five fields and let the receiver
+        re-derive.
         """
         from dataclasses import fields
 
@@ -362,16 +397,17 @@ class Problem:
 
     # -- metrics ---------------------------------------------------------------
 
-    @cached_property
+    @property
     def description_size(self) -> int:
         """A size measure of the problem description (for growth experiments).
 
         Counts every label occurrence in every configuration plus the
         alphabet size; this is the quantity whose per-step explosion motivates
-        the paper's relaxation technique (Section 2.1).
+        the paper's relaxation technique (Section 2.1).  Every edge
+        configuration has 2 entries and every node configuration ``delta``.
         """
         return (
             len(self.labels)
-            + sum(2 for _ in self.edge_constraint)
-            + sum(self.delta for _ in self.node_constraint)
+            + 2 * len(self.edge_constraint)
+            + self.delta * len(self.node_constraint)
         )

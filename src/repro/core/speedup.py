@@ -374,7 +374,7 @@ def half_step(
             )
         half_masks = list(range(1, alphabet.full_mask + 1))
 
-    name_of_mask = {mask: set_label_name(alphabet.members(mask)) for mask in half_masks}
+    name_of_mask = {mask: alphabet.mask_name(mask) for mask in half_masks}
     meaning = {name: alphabet.label_set(mask) for mask, name in name_of_mask.items()}
     meaning_mask = {name: mask for mask, name in name_of_mask.items()}
 
@@ -382,7 +382,7 @@ def half_step(
         edge_configs = {
             edge_config(
                 name_of_mask[mask],
-                set_label_name(alphabet.members(comp.polar_mask(mask))),
+                alphabet.mask_name(comp.polar_mask(mask)),
             )
             for mask in half_masks
         }
@@ -728,8 +728,7 @@ def full_step(
     # uses ``A``); the rename order is the string sort of the set names,
     # exactly as the historic construction sorted the intermediate labels.
     set_name_of = {
-        index: set_label_name(half_alphabet.members(used_masks[index]))
-        for index in surviving
+        index: half_alphabet.mask_name(used_masks[index]) for index in surviving
     }
     ordered = sorted(set_name_of.values())
     rename = dict(zip(ordered, short_names(len(ordered), avoid=half.original.labels)))

@@ -115,7 +115,12 @@ def _translate(
     form: CanonicalForm,
     simplify: bool,
 ) -> SpeedupResult:
-    """Re-express a stored result in the requesting problem's label space."""
+    """Re-express a stored result in the requesting problem's label space.
+
+    Costs O(labels), not O(edge pairs): the derived Pi_1 keeps its stored
+    short names, so it is shared under the request's name, unvalidated
+    (the stored problem was valid when it was derived or loaded).
+    """
     stored = entry.result
     # ordering[i] of the stored form corresponds to ordering[i] of the
     # request's form; compose to map stored original labels to request labels.
@@ -140,12 +145,11 @@ def _translate(
         label: frozenset(half_rename[h] for h in members)
         for label, members in stored.full_meaning.items()
     }
-    full = dataclasses.replace(stored.full, name=f"{problem.name}+1")
     return SpeedupResult(
         original=problem,
         half=half,
         half_meaning=half_meaning,
-        full=full,
+        full=stored.full.with_name(f"{problem.name}+1"),
         full_meaning=full_meaning,
         simplified=stored.simplified,
     )

@@ -141,3 +141,39 @@ def test_short_names_avoid_skips_user_labels():
     assert short_names(2, avoid={"A", "B", "C"}) == ["D", "E"]
     # Skipping keeps the stream deterministic across the letter boundary.
     assert short_names(27, avoid={"Z"})[-2:] == ["L26", "L27"]
+
+
+#: Labels containing every character ``set_label_name`` escapes.
+NASTY_LABELS = ["a,b", "{a", "b}", "c\\", "{x,y}", "plain", "\\,"]
+
+
+def test_mask_name_is_byte_identical_to_set_label_name():
+    alphabet = Alphabet(NASTY_LABELS)
+    for mask in range(1 << alphabet.size):
+        assert alphabet.mask_name(mask) == set_label_name(alphabet.members(mask))
+
+
+def test_nasty_labels_derive_and_translate_through_the_cache():
+    from repro.engine import Engine
+    from repro.problems.catalog import get_problem
+
+    base = get_problem("mis", 3)
+    labels = sorted(base.labels)
+    nasty = base.renamed(dict(zip(labels, NASTY_LABELS)), name="nasty")
+    twin = base.renamed(dict(zip(labels, reversed(NASTY_LABELS))), name="twin")
+    engine = Engine()
+    engine.speedup(nasty)
+    hit = engine.speedup(twin)
+    assert engine.cache_stats()["hits"] == 1
+    fresh = Engine().speedup(twin)
+
+    def full_meanings(result):
+        return {
+            frozenset(result.half_meaning[half] for half in members)
+            for members in result.full_meaning.values()
+        }
+
+    assert hit.half == fresh.half
+    assert dict(hit.half_meaning) == dict(fresh.half_meaning)
+    assert all(name == set_label_name(m) for name, m in hit.half_meaning.items())
+    assert full_meanings(hit) == full_meanings(fresh)

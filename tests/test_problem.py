@@ -5,6 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.core.problem import Problem, ProblemError, edge_config, node_config
+from repro.utils.multiset import multisets_of_size
 
 
 def test_edge_config_canonical():
@@ -143,3 +144,133 @@ def test_equality_is_structural(delta, num_labels):
     # but constraints compare equal.
     assert first.edge_constraint == second.edge_constraint
     assert first.node_constraint == second.node_constraint
+
+
+def test_compressed_without_drops_shares_the_relations(sc3):
+    assert sc3.compressed() is sc3
+    named = sc3.compressed(name="other")
+    assert named.name == "other"
+    assert named.edge_constraint is sc3.edge_constraint
+    assert named.node_constraint is sc3.node_constraint
+
+
+def test_restricted_to_every_label_shares_the_relations(sc3):
+    restricted = sc3.restricted(sc3.labels)
+    assert restricted.name == f"{sc3.name}|restricted"
+    assert restricted.edge_constraint is sc3.edge_constraint
+
+
+def test_with_name_is_a_trusted_copy(sc3):
+    assert sc3.with_name(sc3.name) is sc3
+    copy = sc3.with_name("copy")
+    assert copy.name == "copy" and copy != sc3
+    assert copy.edge_constraint is sc3.edge_constraint
+    assert copy.node_constraint is sc3.node_constraint
+
+
+# -- the trust boundary ----------------------------------------------------
+#
+# Problems are validated where they enter the system; internal transforms
+# and the full step build their output through the unvalidated trusted
+# constructor.  These tests re-validate every such output with the public
+# constructor, so a transform that broke an invariant fails here instead of
+# far downstream.
+
+#: The eleven single-step derivations of the repository benchmark.
+DERIVE_CASES = (
+    ("sinkless-orientation", 3),
+    ("sinkless-coloring", 5),
+    ("3-coloring", 3),
+    ("mis", 3),
+    ("maximal-matching", 3),
+    ("weak-2-coloring", 3),
+    ("weak-2-coloring", 4),
+    ("superweak-2-coloring", 3),
+    ("4-coloring", 2),
+    ("weak-3-coloring", 2),
+    ("superweak-3-coloring", 2),
+)
+
+
+def assert_revalidates(problem: Problem) -> None:
+    """``problem`` passes full validation and its size is the counted one."""
+    fields = (problem.labels, problem.edge_constraint, problem.node_constraint)
+    assert all(type(field) is frozenset for field in fields)
+    rebuilt = Problem(
+        name=problem.name,
+        delta=problem.delta,
+        labels=problem.labels,
+        edge_constraint=problem.edge_constraint,
+        node_constraint=problem.node_constraint,
+    )
+    assert rebuilt == problem
+    assert problem.description_size == (
+        len(problem.labels)
+        + sum(len(pair) for pair in problem.edge_constraint)
+        + sum(len(config) for config in problem.node_constraint)
+    )
+
+
+@pytest.fixture(scope="module")
+def derived_and_twin_hits():
+    """Fresh derivations of every benchmark case, then renamed-twin hits."""
+    from repro.engine import Engine
+    from repro.problems.catalog import get_problem
+
+    engine = Engine()
+    fresh, hits = [], []
+    for name, delta in DERIVE_CASES:
+        problem = get_problem(name, delta)
+        fresh.append(engine.speedup(problem))
+        labels = sorted(problem.labels)
+        twin = problem.renamed(
+            {label: f"t{index}" for index, label in enumerate(reversed(labels))},
+            name=f"{problem.name}~twin",
+        )
+        before = engine.cache_stats()["hits"]
+        hits.append(engine.speedup(twin))
+        assert engine.cache_stats()["hits"] == before + 1, (name, delta)
+    return fresh, hits
+
+
+@pytest.mark.parametrize(
+    "case", range(len(DERIVE_CASES)), ids=lambda i: "%s[%d]" % DERIVE_CASES[i]
+)
+def test_derived_problems_revalidate(derived_and_twin_hits, case):
+    fresh, hits = derived_and_twin_hits
+    for result in (fresh[case], hits[case]):
+        assert_revalidates(result.half)
+        assert_revalidates(result.full)
+    assert hits[case].full.edge_constraint is fresh[case].full.edge_constraint
+    assert hits[case].full.name == f"{hits[case].original.name}+1"
+
+
+@st.composite
+def problems_and_label_choices(draw):
+    delta = draw(st.integers(1, 3))
+    labels = draw(st.lists(st.sampled_from("abcde"), min_size=1, max_size=5, unique=True))
+    all_edges = list(multisets_of_size(labels, 2))
+    all_nodes = list(multisets_of_size(labels, delta))
+    edges = draw(st.lists(st.sampled_from(all_edges), max_size=len(all_edges)))
+    nodes = draw(st.lists(st.sampled_from(all_nodes), max_size=8))
+    problem = Problem.make("random", delta, edges, nodes, labels=labels)
+    images = draw(st.permutations(["x", "y", "z", "a", "b"]))
+    keep = draw(st.lists(st.sampled_from(labels), unique=True))
+    return problem, dict(zip(labels, images)), keep
+
+
+@given(problems_and_label_choices())
+def test_transforms_preserve_the_invariants(choice):
+    problem, mapping, keep = choice
+    outputs = [
+        problem.renamed(mapping),
+        problem.renamed(mapping, name="renamed"),
+        problem.restricted(keep),
+        problem.restricted(problem.labels, name="all"),
+        problem.compressed(),
+        problem.compressed(name="compressed"),
+        problem.restricted(keep).compressed(),
+        problem.with_name("other"),
+    ]
+    for output in outputs:
+        assert_revalidates(output)

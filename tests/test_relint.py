@@ -31,7 +31,7 @@ FIXTURE_MATRIX = [
     ("legacy_import/bad.py", "legacy-import", 3),
     ("legacy_import/good.py", "legacy-import", 0),
     ("legacy_import/outside_hot_path.py", "legacy-import", 0),
-    ("string_label/bad.py", "string-label", 2),
+    ("string_label/bad.py", "string-label", 3),
     ("string_label/good.py", "string-label", 0),
     ("string_label/other_module.py", "string-label", 0),
     ("unbatched_matching/bad.py", "unbatched-matching", 3),
@@ -40,6 +40,9 @@ FIXTURE_MATRIX = [
     ("raw_problem/bad.py", "raw-problem", 2),
     ("raw_problem/good.py", "raw-problem", 0),
     ("raw_problem/in_core.py", "raw-problem", 0),
+    ("trusted_constructor/bad.py", "trusted-constructor", 2),
+    ("trusted_constructor/good.py", "trusted-constructor", 0),
+    ("trusted_constructor/in_core.py", "trusted-constructor", 0),
     ("frozen_certificate/bad.py", "frozen-certificate", 3),
     ("frozen_certificate/good.py", "frozen-certificate", 0),
     ("frozen_certificate/in_defining_module.py", "frozen-certificate", 0),

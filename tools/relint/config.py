@@ -13,8 +13,8 @@ HOT_PACKAGES: tuple[str, ...] = ("core", "engine", "search")
 
 #: Modules inside the hot packages where label work must stay on the mask
 #: side: converting masks back to name/string surfaces (``label_set``,
-#: ``members``, ``config``, ``set_label_name``) is legitimate only at
-#: presentation depth -- never inside nested loops.
+#: ``members``, ``config``, ``set_label_name``, ``mask_name``) is legitimate
+#: only at presentation depth -- never inside nested loops.
 STRING_LABEL_MODULES: frozenset[str] = frozenset(
     {
         "speedup.py",
@@ -31,7 +31,7 @@ STRING_LABEL_MODULES: frozenset[str] = frozenset(
 
 #: Mask-to-name surface calls covered by the string-label rule.
 NAME_SURFACE_CALLS: frozenset[str] = frozenset(
-    {"label_set", "members", "config", "set_label_name"}
+    {"label_set", "members", "config", "set_label_name", "mask_name"}
 )
 
 #: Modules whose hot folds have a batched vector equivalent in
@@ -54,6 +54,13 @@ MATCHING_CALLS: frozenset[str] = frozenset({"mask_matching_exists", "allows"})
 #: sorting cannot be bypassed.
 RAW_PROBLEM_PACKAGES: tuple[str, ...] = ("search", "engine")
 
+#: Modules (paths below ``repro/``) allowed to call the unvalidated
+#: ``Problem._from_canonical``: the class's own invariant-preserving
+#: transforms and the full step's canonical-by-construction materialisation.
+TRUSTED_CONSTRUCTOR_MODULES: frozenset[str] = frozenset(
+    {"core/problem.py", "core/speedup.py"}
+)
+
 #: Modules that define (and may therefore initialise) certificate types.
 CERTIFICATE_MODULES: frozenset[str] = frozenset({"certificate.py", "relaxation.py"})
 
@@ -63,10 +70,10 @@ CERTIFICATE_TOKENS: tuple[str, ...] = ("cert",)
 #: Lock factory names recognised by the concurrency rule.
 LOCK_FACTORIES: frozenset[str] = frozenset({"Lock", "RLock"})
 
-#: Classes that must stay cheaply picklable (ROADMAP item (a): search
-#: states and interned problems cross a process-pool boundary).  A class
-#: defining ``__reduce__``/``__getstate__`` takes over responsibility and
-#: is skipped.
+#: Classes that must stay cheaply picklable (search states, task payloads
+#: and interned problems cross the process-pool boundary of
+#: ``repro.engine.executor``).  A class defining ``__reduce__``/
+#: ``__getstate__`` takes over responsibility and is skipped.
 PICKLABLE_CLASSES: frozenset[str] = frozenset(
     {
         "InternedProblem",

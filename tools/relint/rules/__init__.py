@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from tools.relint.engine import Rule
 from tools.relint.rules.concurrency import UnlockedMutationRule
-from tools.relint.rules.construction import RawProblemRule
+from tools.relint.rules.construction import RawProblemRule, TrustedConstructorRule
 from tools.relint.rules.determinism import UnorderedSerializationRule
 from tools.relint.rules.exceptions import SilentSwallowRule
 from tools.relint.rules.freeze import FrozenCertificateRule
@@ -23,6 +23,7 @@ ALL_RULES: tuple[Rule, ...] = (
     StringLabelRule(),
     UnbatchedMatchingRule(),
     RawProblemRule(),
+    TrustedConstructorRule(),
     FrozenCertificateRule(),
     SilentSwallowRule(),
     BroadFaultSwallowRule(),

@@ -5,7 +5,7 @@ differential-test anchor; production modules importing it would silently
 reintroduce the O(labels x configs) string path.  Similarly, the whole
 point of the interned kernel is that inner loops work on integer masks --
 mask-to-name surface calls (``label_set``/``members``/``config``/
-``set_label_name``) belong at presentation boundaries, not nested loops.
+``set_label_name``/``mask_name``) belong at presentation boundaries, not nested loops.
 """
 
 from __future__ import annotations
@@ -56,7 +56,7 @@ class StringLabelRule(Rule):
     id = "string-label"
     description = (
         "inside hot kernel modules, mask-to-name surface calls (label_set/"
-        "members/config/set_label_name) must not run inside nested loops"
+        "members/config/set_label_name/mask_name) must not run inside nested loops"
     )
 
     def check(self, ctx: FileContext) -> Iterator[Violation]:
