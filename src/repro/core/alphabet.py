@@ -42,9 +42,9 @@ from __future__ import annotations
 
 import string
 from collections.abc import Collection, Iterable, Iterator, Sequence
-from typing import TYPE_CHECKING, Literal
+from typing import TYPE_CHECKING, Literal, cast
 
-from repro.core.problem import Label, Problem
+from repro.core.problem import EdgeRelation, Label, Problem
 
 if TYPE_CHECKING:
     from typing import NewType
@@ -171,7 +171,8 @@ class InternedProblem:
         edge constraint -- the singleton polar of label ``i``, and the
         building block of every compatibility / Galois computation.
     edge_pairs:
-        The edge constraint as ``(i, j)`` index pairs with ``i <= j``.
+        The edge constraint as ``(i, j)`` index pairs with ``i <= j``,
+        derived from ``adjacency`` on first read.
     node_configs:
         The node constraint as sorted index tuples, in sorted order (which
         coincides with the legacy sorted-name-tuple order).
@@ -189,7 +190,7 @@ class InternedProblem:
         "problem",
         "alphabet",
         "adjacency",
-        "edge_pairs",
+        "_edge_pairs",
         "node_configs",
         "node_config_set",
         "config_supports",
@@ -204,19 +205,24 @@ class InternedProblem:
         self.alphabet = alphabet
         index = alphabet.index
 
-        adjacency = [0] * alphabet.size
-        edge_pairs = set()
-        for a, b in problem.edge_constraint:
-            ia, ib = index[a], index[b]
-            adjacency[ia] |= 1 << ib
-            adjacency[ib] |= 1 << ia
-            edge_pairs.add((ia, ib) if ia <= ib else (ib, ia))
-        self.adjacency: tuple[LabelMask, ...] = tuple(
-            LabelMask(mask) for mask in adjacency
-        )
-        self.edge_pairs: frozenset[tuple[LabelIndex, LabelIndex]] = frozenset(
-            edge_pairs
-        )
+        edges = problem.edge_constraint
+        self._edge_pairs: frozenset[tuple[LabelIndex, LabelIndex]] | None = None
+        if isinstance(edges, EdgeRelation) and edges.names == alphabet.names:
+            # The full step's masks are already over this alphabet's order;
+            # the index pairs are derived from them only if read.
+            self.adjacency: tuple[LabelMask, ...] = cast(
+                "tuple[LabelMask, ...]", edges.masks
+            )
+        else:
+            adjacency = [0] * alphabet.size
+            edge_pairs = set()
+            for a, b in edges:
+                ia, ib = index[a], index[b]
+                adjacency[ia] |= 1 << ib
+                adjacency[ib] |= 1 << ia
+                edge_pairs.add((ia, ib) if ia <= ib else (ib, ia))
+            self.adjacency = tuple(LabelMask(mask) for mask in adjacency)
+            self._edge_pairs = frozenset(edge_pairs)
 
         configs = sorted(
             tuple(index[label] for label in config)
@@ -247,6 +253,16 @@ class InternedProblem:
         # instance instead of recomputing the quadratic replaceability grid
         # per move (see compute_stronger_masks).
         self._stronger_masks: tuple[LabelMask, ...] | None = None
+
+    @property
+    def edge_pairs(self) -> frozenset[tuple[LabelIndex, LabelIndex]]:
+        if self._edge_pairs is None:
+            self._edge_pairs = frozenset(
+                (LabelIndex(first), second)
+                for first, mask in enumerate(self.adjacency)
+                for second in iter_bits(mask >> first << first)
+            )
+        return self._edge_pairs
 
     def configs_with_label(self, label_index: LabelIndex) -> tuple[int, ...]:
         """Indices into ``node_configs`` of the configurations using a label.

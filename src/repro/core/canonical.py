@@ -154,11 +154,35 @@ def _encode_positions(
         else (position[b], position[a])
         for a, b in incidence.edge_pairs
     )
-    nodes = sorted(
-        tuple(sorted(position[x] for x in config))
+    return (tuple(edges), _encode_nodes(incidence, position))
+
+
+def _encode_nodes(
+    incidence: _Incidence, position: list[int]
+) -> tuple[tuple[int, ...], ...]:
+    nodes = [
+        tuple(sorted([position[x] for x in config]))
         for config in incidence.node_configs
-    )
-    return (tuple(edges), tuple(nodes))
+    ]
+    nodes.sort()
+    return tuple(nodes)
+
+
+def _edge_rank(incidence: _Incidence, position: list[int]) -> list[int]:
+    """A value ordered exactly like the edge half of :func:`_encode_positions`.
+
+    Each edge pair ``(low, high)`` packs into ``low * size + high``, which
+    sorts and compares like the pair (both entries are below ``size``), so
+    the tie-breaking search compares ints instead of building and comparing
+    a tuple per pair for every ordering it tries.
+    """
+    size = incidence.size
+    edges = []
+    for a, b in incidence.edge_pairs:
+        first, second = position[a], position[b]
+        edges.append(first * size + second if first <= second else second * size + first)
+    edges.sort()
+    return edges
 
 
 def _digest(parts: tuple[object, ...]) -> str:
@@ -194,20 +218,26 @@ def canonical_form(problem: Problem) -> CanonicalForm:
             key=CanonicalHash("exact:" + _digest(parts)), ordering=ordering
         )
 
-    best_encoding: (
-        tuple[tuple[tuple[int, int], ...], tuple[tuple[int, ...], ...]] | None
-    ) = None
+    # The smallest (edges, nodes) encoding; the node half is only encoded
+    # for orderings whose edge half does not already lose.
+    best_rank: tuple[list[int], tuple[tuple[int, ...], ...]] | None = None
     best_order: tuple[int, ...] | None = None
     position = [0] * incidence.size
     for combo in product(*(permutations(group) for group in groups)):
         order = tuple(chain.from_iterable(combo))
         for rank, old_index in enumerate(order):
             position[old_index] = rank
-        encoding = _encode_positions(incidence, position)
-        if best_encoding is None or encoding < best_encoding:
-            best_encoding = encoding
+        edges = _edge_rank(incidence, position)
+        if best_rank is not None and edges > best_rank[0]:
+            continue
+        encoding_rank = (edges, _encode_nodes(incidence, position))
+        if best_rank is None or encoding_rank < best_rank:
+            best_rank = encoding_rank
             best_order = order
-    assert best_order is not None and best_encoding is not None
+    assert best_order is not None
+    for rank, old_index in enumerate(best_order):
+        position[old_index] = rank
+    best_encoding = _encode_positions(incidence, position)
     parts = ("canon", problem.delta, len(problem.labels), best_encoding)
     return CanonicalForm(
         key=CanonicalHash("canon:" + _digest(parts)),

@@ -22,10 +22,11 @@ fixed delta, exactly as in Theorem 1, which speaks about graph classes
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping
+from collections.abc import Callable, Iterable, Iterator, Mapping
+from collections.abc import Set as AbstractSet
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
+from itertools import chain, compress, repeat
 from typing import Any
 
 from repro.utils.multiset import multiset
@@ -54,8 +55,151 @@ def _mentioned(configs: Iterable[tuple[Label, ...]]) -> frozenset[Label]:
     return frozenset(chain.from_iterable(configs))
 
 
+#: ``bytes.translate`` table turning a binary digit string into 0/1 bytes,
+#: the selector stream ``itertools.compress`` reads when a row is expanded.
+_BIT_DIGITS = bytes.maketrans(b"01", b"\x00\x01")
+
+
+class EdgeRelation(AbstractSet[EdgeConfig]):
+    """An edge constraint held as one symmetric adjacency mask per label.
+
+    ``names`` lists the labels in sorted raw-name order (the order of
+    :class:`repro.core.alphabet.Alphabet`); bit ``j`` of ``masks[i]`` is set
+    iff ``{names[i], names[j]}`` is allowed.  The full step emits derived
+    edge relations in this form: the paper's existential edge constraint is
+    fully described by one adjacency mask per derived label, while the
+    canonical ``(low, high)`` string pairs can run to tens of millions.
+
+    The relation is an immutable set of canonical pairs, equal to (and
+    hash-compatible with) the ``frozenset`` of those pairs.  ``len`` is
+    O(1) and ``in`` is a name lookup plus a bit test.  The string pairs are
+    built only when a caller reads them, once, and kept: iteration walks
+    them in sorted order, and hashing and every other set operation
+    delegate to a ``frozenset`` of them (so set operators return a plain
+    ``frozenset``).
+    """
+
+    __slots__ = ("names", "masks", "_size", "_index", "_pairs", "_set")
+
+    def __init__(self, names: tuple[Label, ...], masks: tuple[int, ...]):
+        self.names = names
+        self.masks = masks
+        # Each off-diagonal pair sets two bits, a self-pair one.
+        bits = sum(mask.bit_count() for mask in masks)
+        loops = sum((mask >> index) & 1 for index, mask in enumerate(masks))
+        self._size: int = (bits + loops) // 2
+        self._index: dict[Label, int] | None = None
+        self._pairs: tuple[EdgeConfig, ...] | None = None
+        self._set: frozenset[EdgeConfig] | None = None
+
+    def mentioned(self) -> frozenset[Label]:
+        """The labels occurring in some pair, in O(labels)."""
+        return frozenset(name for name, mask in zip(self.names, self.masks) if mask)
+
+    def _sorted_pairs(self) -> tuple[EdgeConfig, ...]:
+        """The canonical string pairs in sorted order, built once and kept.
+
+        A tuple rather than only the ``frozenset``: walking pairs in the
+        order they were allocated is several times faster than walking a
+        hash table of them, and sorting a sorted sequence is linear.
+        """
+        pairs = self._pairs
+        if pairs is None:
+            names = self.names
+
+            def rows() -> Iterator[Iterator[EdgeConfig]]:
+                # Names are sorted, so row i's pairs are (names[i], names[j])
+                # for the set bits j >= i, in order: canonical and sorted.
+                for index, mask in enumerate(self.masks):
+                    upper = mask >> index
+                    if upper:
+                        selectors = format(upper, "b")[::-1].encode().translate(_BIT_DIGITS)
+                        yield zip(repeat(names[index]), compress(names[index:], selectors))
+
+            pairs = self._pairs = tuple(list(chain.from_iterable(rows())))
+        return pairs
+
+    def _view(self) -> frozenset[EdgeConfig]:
+        """The string pairs as a ``frozenset``, built once and kept."""
+        if self._set is None:
+            self._set = frozenset(self._sorted_pairs())
+        return self._set
+
+    def __len__(self) -> int:
+        return self._size
+
+    def __contains__(self, item: object) -> bool:
+        if not isinstance(item, tuple) or len(item) != 2:
+            hash(item)  # an unhashable probe raises, as with a frozenset
+            return False
+        index = self._index
+        if index is None:
+            index = self._index = {name: i for i, name in enumerate(self.names)}
+        first = index.get(item[0])
+        second = index.get(item[1])
+        if first is None or second is None or second < first:
+            return False
+        return bool((self.masks[first] >> second) & 1)
+
+    def __iter__(self) -> Iterator[EdgeConfig]:
+        return iter(self._sorted_pairs())
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, EdgeRelation):
+            if other.names == self.names:
+                return other.masks == self.masks
+            return len(self) == len(other) and self._view() == other._view()
+        if isinstance(other, AbstractSet):
+            return len(self) == len(other) and self._view() == other
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._view())
+
+    def __reduce__(self) -> tuple[type, tuple[tuple[Label, ...], tuple[int, ...]]]:
+        # Names and masks only: the string pairs are rebuilt on demand.
+        return (EdgeRelation, (self.names, self.masks))
+
+    def __repr__(self) -> str:
+        return f"EdgeRelation({len(self)} pairs over {len(self.names)} labels)"
+
+
+def _delegate_to_view(name: str) -> Callable[[EdgeRelation, object], object]:
+    """``EdgeRelation.<name>`` as the string view's own ``frozenset`` method.
+
+    The frozenset method returns ``NotImplemented`` exactly where a
+    frozenset's would, so operand types and reflected operators behave as
+    they do for the plain set.
+    """
+    method = getattr(frozenset, name)
+
+    def delegated(self: EdgeRelation, other: object) -> object:
+        if isinstance(other, EdgeRelation):
+            other = other._view()
+        return method(self._view(), other)
+
+    delegated.__name__ = name
+    return delegated
+
+
+for _name in (
+    "__le__", "__lt__", "__ge__", "__gt__",
+    "__and__", "__rand__", "__or__", "__ror__",
+    "__sub__", "__rsub__", "__xor__", "__rxor__",
+    "isdisjoint",
+):
+    setattr(EdgeRelation, _name, _delegate_to_view(_name))
+
+
+def _edge_labels(edges: AbstractSet[EdgeConfig]) -> frozenset[Label]:
+    """Every label occurring in some edge configuration."""
+    if isinstance(edges, EdgeRelation):
+        return edges.mentioned()
+    return _mentioned(edges)
+
+
 def _pairs_within(
-    edges: frozenset[EdgeConfig], labels: frozenset[Label]
+    edges: AbstractSet[EdgeConfig], labels: frozenset[Label]
 ) -> frozenset[EdgeConfig]:
     return frozenset(pair for pair in edges if pair[0] in labels and pair[1] in labels)
 
@@ -83,7 +227,9 @@ class Problem:
     labels:
         The finite output alphabet ``f(delta)``.
     edge_constraint:
-        The allowed 2-multisets ``g(delta)``, canonical sorted pairs.
+        The allowed 2-multisets ``g(delta)``, canonical sorted pairs: a
+        ``frozenset``, or for problems the full step derives an
+        :class:`EdgeRelation` (equal to the ``frozenset`` of its pairs).
     node_constraint:
         The allowed ``delta``-multisets ``h(delta)``, canonical sorted tuples.
     """
@@ -91,7 +237,7 @@ class Problem:
     name: str
     delta: int
     labels: frozenset[Label]
-    edge_constraint: frozenset[EdgeConfig]
+    edge_constraint: AbstractSet[EdgeConfig]
     node_constraint: frozenset[NodeConfig]
 
     def __post_init__(self) -> None:
@@ -135,7 +281,7 @@ class Problem:
         name: str,
         delta: int,
         labels: frozenset[Label],
-        edge_constraint: frozenset[EdgeConfig],
+        edge_constraint: AbstractSet[EdgeConfig],
         node_constraint: frozenset[NodeConfig],
     ) -> "Problem":
         """Trusted constructor that skips ``__post_init__`` validation.
@@ -213,7 +359,7 @@ class Problem:
         Only these can appear in a correct solution (the paper's compression
         remark in Section 4.2).
         """
-        return _mentioned(self.edge_constraint) & _mentioned(self.node_constraint)
+        return _edge_labels(self.edge_constraint) & _mentioned(self.node_constraint)
 
     @cached_property
     def is_empty(self) -> bool:

@@ -47,13 +47,14 @@ from __future__ import annotations
 
 from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass
-from itertools import product
+from itertools import chain, product
 from time import perf_counter
 from typing import Any
 
 from repro.core.alphabet import (
     Alphabet,
     intern,
+    iter_bits,
     mask_matching_exists,
     set_label_name,
     short_names,
@@ -63,15 +64,16 @@ from repro.core.galois import Compatibility
 # Re-exported from its dependency-free home (repro.core.limits) so the
 # Galois layer can raise it too; this module remains the public import site.
 from repro.core.limits import EngineLimitError
-from repro.core.problem import Label, Problem, edge_config, node_config
+from repro.core.problem import EdgeRelation, Label, Problem, edge_config, node_config
 from repro.core.vectorkernel import (
     AllowsTable,
     KernelStats,
     VectorFrontier,
     enumerate_filters_vector,
-    existential_edge_pairs,
+    existential_edge_matrix,
     get_numpy,
     resolve_kernel,
+    unpack_masks,
 )
 
 __all__ = [
@@ -656,71 +658,65 @@ def full_step(
         for config in allowed_configs
     ]
 
-    pair_arrays = None
-    pair_set: set[tuple[int, int]] | None = None
+    # The edge relation stays one adjacency row per used label (bit j of
+    # row i: the pair {i, j} has an existential witness) through the
+    # compressed() fixpoint and the rename; only the final rows, permuted
+    # into the derived alphabet's order, are kept.  The rows are symmetric
+    # without a second pass: partner bits follow the Galois connection
+    # (Z is in comp(Y) iff Y is in comp(Z), and closed half labels are each
+    # other's polar partners), so either orientation witnesses the pair.
+    hits = None
+    adjacency: list[int] = []
     if np_ is not None:
-        first_idx, second_idx = existential_edge_pairs(
-            used_masks, partner_union, half_count
-        )
-        # The compressed() fixpoint on index arrays: usable = mentioned in
-        # both relations; dropping labels invalidates configurations, so
-        # iterate.
+        hits = existential_edge_matrix(used_masks, partner_union, half_count)
+        # The compressed() fixpoint: usable = mentioned in both relations;
+        # dropping labels invalidates configurations, so iterate.
         alive = np_.ones(used_count, dtype=bool)
+        in_edges = hits.any(axis=1)
         while True:
-            in_edges = np_.zeros(used_count, dtype=bool)
-            in_edges[first_idx] = True
-            in_edges[second_idx] = True
             in_nodes = np_.zeros(used_count, dtype=bool)
             if node_index_configs:
-                flat = np_.fromiter(
-                    (index for config in node_index_configs for index in config),
-                    dtype=np_.int64,
-                )
-                in_nodes[flat] = True
+                in_nodes[
+                    np_.fromiter(chain.from_iterable(node_index_configs), dtype=np_.int64)
+                ] = True
             usable = in_edges & in_nodes
             if np_.array_equal(usable, alive):
                 break
             alive = usable
-            keep = usable[first_idx] & usable[second_idx]
-            first_idx = first_idx[keep]
-            second_idx = second_idx[keep]
+            in_edges = hits[:, alive].any(axis=1) & alive
             node_index_configs = [
                 config
                 for config in node_index_configs
-                if all(usable[index] for index in config)
+                if all(alive[index] for index in config)
             ]
         surviving = np_.nonzero(alive)[0].tolist()
-        pair_arrays = (first_idx, second_idx)
     else:
-        pair_set = set()
         for first in range(used_count):
-            first_partners = partner_union[first]
+            row = 0
             for second in range(used_count):
-                if first_partners & used_masks[second]:
-                    pair_set.add(
-                        (first, second) if first <= second else (second, first)
-                    )
-        alive_set = set(range(used_count))
+                if partner_union[first] & used_masks[second]:
+                    row |= 1 << second
+            adjacency.append(row)
+        alive_mask = (1 << used_count) - 1
         while True:
-            in_edge_set = {index for pair in pair_set for index in pair}
-            in_node_set = {
-                index for config in node_index_configs for index in config
-            }
-            usable_set = in_edge_set & in_node_set
-            if usable_set == alive_set:
+            in_edges_mask = 0
+            for index in iter_bits(alive_mask):
+                if adjacency[index] & alive_mask:
+                    in_edges_mask |= 1 << index
+            in_nodes_mask = 0
+            for index in chain.from_iterable(node_index_configs):
+                in_nodes_mask |= 1 << index
+            usable_mask = in_edges_mask & in_nodes_mask
+            if usable_mask == alive_mask:
                 break
-            alive_set = usable_set
-            pair_set = {
-                pair
-                for pair in pair_set
-                if pair[0] in usable_set and pair[1] in usable_set
-            }
+            alive_mask = usable_mask
             node_index_configs = [
                 config
                 for config in node_index_configs
-                if all(index in usable_set for index in config)
+                if all((alive_mask >> index) & 1 for index in config)
             ]
-        surviving = sorted(alive_set)
+        surviving = list(iter_bits(alive_mask))
+        adjacency = [row & alive_mask for row in adjacency]
 
     # Rename to short atomic labels for iteration; keep provenance.  The
     # fresh names avoid the original problem's own labels so a derived label
@@ -738,39 +734,28 @@ def full_step(
         node_config(short_of[index] for index in config)
         for config in node_index_configs
     )
-    if pair_arrays is not None:
-        first_idx, second_idx = pair_arrays
-        pair_arrays = None
-        rank = np_.zeros(used_count, dtype=np_.int64)
-        shorts: list[Label | None] = [None] * used_count
-        for index in surviving:
-            shorts[index] = short_of[index]
-        for position, index in enumerate(
-            sorted(surviving, key=lambda index: short_of[index])
-        ):
-            rank[index] = position
-        swap = rank[first_idx] > rank[second_idx]
-        low_idx = np_.where(swap, second_idx, first_idx)
-        high_idx = np_.where(swap, first_idx, second_idx)
-        # Drop the index arrays as soon as each Python-object view exists:
-        # at tens of millions of pairs the final frozenset dominates peak
-        # memory and the arrays would otherwise sit alongside it.
-        del swap, first_idx, second_idx
-        shorts_array = np_.array(shorts, dtype=object)
-        low_labels = shorts_array[low_idx].tolist()
-        del low_idx
-        high_labels = shorts_array[high_idx].tolist()
-        del high_idx
-        edge_constraint = frozenset(zip(low_labels, high_labels))
-        del low_labels, high_labels
-    else:
-        assert pair_set is not None
-        edge_constraint = frozenset(
-            edge_config(short_of[first], short_of[second])
-            for first, second in pair_set
+    # One mask per derived label, in the derived alphabet's (sorted name)
+    # order, over bit positions in that same order.
+    order = sorted(surviving, key=short_of.__getitem__)
+    masks: list[int] = []
+    if hits is not None and order:
+        positions = np_.array(order, dtype=np_.intp)
+        masks = unpack_masks(
+            np_.packbits(hits[np_.ix_(positions, positions)], axis=1, bitorder="little")
         )
+    elif order:
+        position = {index: rank for rank, index in enumerate(order)}
+        for index in order:
+            row = 0
+            for other in iter_bits(adjacency[index]):
+                row |= 1 << position[other]
+            masks.append(row)
+    del hits, adjacency
+    edge_constraint = EdgeRelation(
+        tuple(short_of[index] for index in order), tuple(masks)
+    )
 
-    # Canonical by construction (pairs emitted low/high by rename rank, node
+    # Canonical by construction (adjacency over the sorted fresh names, node
     # tuples sorted, labels freshly minted), so take the trusted constructor
     # and skip re-validating what can be hundreds of thousands of pairs.
     renamed = Problem._from_canonical(

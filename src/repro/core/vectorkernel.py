@@ -49,7 +49,7 @@ __all__ = [
     "enumerate_filters_vector",
     "AllowsTable",
     "VectorFrontier",
-    "existential_edge_pairs",
+    "existential_edge_matrix",
 ]
 
 #: Kernel selection values accepted by :func:`resolve_kernel` and
@@ -167,9 +167,14 @@ def pack_masks(masks: Sequence[int], bit_count: int) -> "numpy.ndarray":
 
 
 def unpack_masks(rows: "numpy.ndarray") -> list[int]:
-    """Inverse of :func:`pack_masks`: ``(N, words)`` rows back to big ints."""
+    """Inverse of :func:`pack_masks`: ``(N, words)`` rows back to big ints.
+
+    Any unsigned word width reads the same way (little-endian, word 0
+    lowest), so ``numpy.packbits(..., bitorder="little")`` rows of
+    ``uint8`` unpack too.
+    """
     data = rows.tobytes()
-    stride = rows.shape[1] * 8
+    stride = rows.shape[1] * rows.itemsize
     return [
         int.from_bytes(data[offset : offset + stride], "little")
         for offset in range(0, len(data), stride)
@@ -573,36 +578,33 @@ class VectorFrontier:
 # -- existential edge relation ----------------------------------------------
 
 
-def existential_edge_pairs(
+def existential_edge_matrix(
     used_masks: Sequence[int],
     partner_unions: Sequence[int],
     bit_count: int,
     *,
     chunk: int = 512,
-) -> tuple["numpy.ndarray", "numpy.ndarray"]:
-    """Index pairs ``{i, j}`` (``i <= j``) with an existential edge witness.
+) -> "numpy.ndarray":
+    """The boolean matrix of pairs ``{i, j}`` with an existential edge witness.
 
     The pair is allowed iff the polar-partner bits of one side intersect
-    the other side (in either orientation) -- the same predicate as the
-    scalar double loop in :func:`repro.core.speedup.full_step`, evaluated
-    as a broadcast AND of packed rows, ``chunk`` rows at a time.  Returns
-    two parallel index arrays (first <= second); huge-``Pi_1`` problems
-    produce tens of millions of pairs, so they stay numpy until the final
-    string materialisation.
+    the other side -- the same predicate as the scalar double loop in
+    :func:`repro.core.speedup.full_step` (symmetric, see there), evaluated
+    as a broadcast AND of packed rows, ``chunk`` rows at a time.  One
+    ``count x count`` byte matrix, however many pairs it holds (tens of
+    millions on huge ``Pi_1``).
     """
     np_ = get_numpy()
     assert np_ is not None
     count = len(used_masks)
+    hits = np_.zeros((count, count), dtype=bool)
     if count == 0:
-        return np_.zeros(0, dtype=np_.int64), np_.zeros(0, dtype=np_.int64)
+        return hits
     used_rows = pack_masks(used_masks, bit_count)
     partner_rows = pack_masks(partner_unions, bit_count)
-    hits = np_.zeros((count, count), dtype=bool)
     for start in range(0, count, chunk):
         stop = min(start + chunk, count)
         hits[start:stop] = np_.any(
             partner_rows[start:stop, None, :] & used_rows[None, :, :], axis=2
         )
-    hits |= hits.T
-    first_index, second_index = np_.nonzero(np_.triu(hits))
-    return first_index, second_index
+    return hits

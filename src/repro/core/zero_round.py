@@ -250,7 +250,7 @@ def _orientations_solvable_delta2(problem: Problem) -> bool:
     """
     interned = intern(problem)
     configs = interned.node_configs
-    if not configs or not interned.edge_pairs:
+    if not configs or not any(interned.adjacency):
         return False
     comp = Compatibility(problem)
     adjacency = interned.adjacency

@@ -141,8 +141,10 @@ def _translate(
         half_rename[name]: frozenset(to_request[member] for member in members)
         for name, members in stored.half_meaning.items()
     }
+    # One C-level map per label: a 976-label Pi_1 translates ~370k members.
+    rename_half = half_rename.__getitem__
     full_meaning = {
-        label: frozenset(half_rename[h] for h in members)
+        label: frozenset(map(rename_half, members))
         for label, members in stored.full_meaning.items()
     }
     return SpeedupResult(

@@ -18,6 +18,7 @@ import random
 
 import pytest
 
+from edge_relations import assert_behaves_as, legacy_edge_relation
 from repro.core import _legacy
 from repro.core.canonical import canonical_form, canonical_hash
 from repro.core.diagram import merge_equivalent_labels
@@ -28,7 +29,7 @@ from repro.core.relaxation import (
     is_harder_restriction,
     is_relaxation_map,
 )
-from repro.core.speedup import EngineLimitError, compute_speedup
+from repro.core.speedup import EngineLimitError, SpeedupResult, compute_speedup
 from repro.core.zero_round import (
     is_zero_round_solvable,
     zero_round_no_input,
@@ -66,13 +67,15 @@ def random_problem(seed: int) -> Problem:
     return Problem.make(f"rnd{seed}", delta, edge, node, labels=labels)
 
 
-def assert_differential(problem: Problem) -> None:
+def assert_differential(problem: Problem) -> SpeedupResult | None:
     """Kernel == legacy on every rewired decision procedure.
 
     Equivalence covers the failure mode too: when the legacy path trips a
     size guard, the kernel must trip the same guard with the same observed
-    count (the guards keep their a-priori semantics by design).
+    count (the guards keep their a-priori semantics by design).  Returns
+    the legacy derivation when there is one.
     """
+    legacy_result = None
     try:
         legacy_result = _legacy.compute_speedup(problem)
     except EngineLimitError as legacy_error:
@@ -107,6 +110,7 @@ def assert_differential(problem: Problem) -> None:
     assert form.key == legacy_form.key
     assert form.ordering == legacy_form.ordering
     assert canonical_hash(problem) == _legacy.canonical_hash(problem)
+    return legacy_result
 
 
 # -- seeded random problems --------------------------------------------------
@@ -115,10 +119,17 @@ def assert_differential(problem: Problem) -> None:
 @pytest.mark.parametrize("seed", range(SEED_COUNT))
 def test_kernel_matches_legacy_on_random_problem(seed):
     problem = random_problem(seed)
-    assert_differential(problem)
+    legacy_result = assert_differential(problem)
     # Derived problems exercise larger alphabets and set-valued names.
     derived = compute_speedup(problem).full
     assert canonical_hash(derived) == _legacy.canonical_hash(derived)
+    # Both kernels' condensed edge relations act as the string path's set.
+    results = [compute_speedup(problem, kernel=kernel) for kernel in ("mask", "vector")]
+    reference = legacy_edge_relation(results[0])
+    if legacy_result is not None:
+        assert reference == legacy_result.full.edge_constraint
+    for result in results:
+        assert_behaves_as(result.full, reference)
 
 
 def test_random_problems_are_diverse():

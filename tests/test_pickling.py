@@ -117,3 +117,27 @@ def test_deepcopy_uses_the_same_machinery(engine: Engine) -> None:
     engine.run(problem, max_steps=1)
     frozen = engine.run(problem, max_steps=1)
     assert deepcopy(frozen).to_dict() == frozen.to_dict()
+
+
+def test_derived_edge_relation_pickles_condensed() -> None:
+    """A derived Pi_1 ships its adjacency masks, never its string pairs."""
+    from repro.core.problem import EdgeRelation
+    from repro.core.speedup import compute_speedup
+    from repro.problems.catalog import get_problem
+
+    full = compute_speedup(get_problem("weak-3-coloring", 2)).full
+    relation = full.edge_constraint
+    assert isinstance(relation, EdgeRelation)
+    blob = pickle.dumps(full)
+    clone = pickle.loads(blob)
+    restored = clone.edge_constraint
+    assert isinstance(restored, EdgeRelation) and restored._pairs is None
+    assert restored.names == relation.names and restored.masks == relation.masks
+    assert clone == full
+    assert restored._pairs is None  # mask equality: still unbuilt
+    # The same problem with a frozenset edge constraint, as derived problems
+    # carried before the condensed relation.
+    expanded = Problem(
+        full.name, full.delta, full.labels, frozenset(relation), full.node_constraint
+    )
+    assert len(blob) * 10 < len(pickle.dumps(expanded))

@@ -4,7 +4,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.core.problem import Problem, ProblemError, edge_config, node_config
+from edge_relations import assert_behaves_as, legacy_edge_relation
+from repro.core.problem import (
+    EdgeRelation,
+    Problem,
+    ProblemError,
+    edge_config,
+    node_config,
+)
 from repro.utils.multiset import multisets_of_size
 
 
@@ -194,8 +201,9 @@ DERIVE_CASES = (
 
 def assert_revalidates(problem: Problem) -> None:
     """``problem`` passes full validation and its size is the counted one."""
-    fields = (problem.labels, problem.edge_constraint, problem.node_constraint)
-    assert all(type(field) is frozenset for field in fields)
+    assert type(problem.labels) is frozenset
+    assert type(problem.node_constraint) is frozenset
+    assert type(problem.edge_constraint) in (frozenset, EdgeRelation)
     rebuilt = Problem(
         name=problem.name,
         delta=problem.delta,
@@ -243,6 +251,61 @@ def test_derived_problems_revalidate(derived_and_twin_hits, case):
         assert_revalidates(result.full)
     assert hits[case].full.edge_constraint is fresh[case].full.edge_constraint
     assert hits[case].full.name == f"{hits[case].original.name}+1"
+
+
+# -- the condensed edge relation of derived problems -------------------------
+
+
+@pytest.mark.parametrize(
+    "case", DERIVE_CASES, ids=lambda case: "%s[%d]" % case
+)
+def test_derived_edge_relation_behaves_as_the_string_path(case):
+    """Both kernels' Pi_1 relations act as the frozenset the string path builds."""
+    from repro.core.speedup import compute_speedup
+    from repro.problems.catalog import get_problem
+
+    problem = get_problem(*case)
+    masked = compute_speedup(problem, kernel="mask")
+    vector = compute_speedup(problem, kernel="vector")
+    # The two kernels hold identical relation state, so the set checks
+    # below cover both.
+    assert masked.full.edge_constraint.names == vector.full.edge_constraint.names
+    assert masked.full.edge_constraint.masks == vector.full.edge_constraint.masks
+    assert_behaves_as(vector.full, legacy_edge_relation(masked))
+
+
+def test_derived_edge_relation_stays_condensed():
+    """Deriving, interning, hashing, deciding and cache hits leave the string
+    pairs unbuilt; the first iteration builds them once."""
+    from repro.core.alphabet import intern
+    from repro.core.canonical import canonical_form
+    from repro.core.zero_round import is_zero_round_solvable
+    from repro.engine import Engine
+    from repro.problems.catalog import get_problem
+
+    engine = Engine()
+    problem = get_problem("weak-3-coloring", 2)
+    full = engine.speedup(problem).full
+    relation = full.edge_constraint
+    assert isinstance(relation, EdgeRelation)
+    intern(full)
+    canonical_form(full)
+    is_zero_round_solvable(full)
+    assert full.description_size > len(relation)
+    assert full.compressed() is full
+    assert full.with_name("other").edge_constraint is relation
+    twin = problem.renamed({label: f"t{label}" for label in problem.labels}, name="twin")
+    hits = engine.cache_stats()["hits"]
+    assert engine.speedup(twin).full.edge_constraint is relation
+    assert engine.cache_stats()["hits"] == hits + 1
+    assert relation._pairs is None and relation._set is None
+
+    first = iter(relation)
+    view = relation._pairs
+    assert view is not None and len(view) == len(relation)
+    iter(relation)
+    assert relation._pairs is view
+    assert sum(1 for _ in first) == len(relation)
 
 
 @st.composite

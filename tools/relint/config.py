@@ -78,6 +78,7 @@ PICKLABLE_CLASSES: frozenset[str] = frozenset(
     {
         "InternedProblem",
         "Problem",
+        "EdgeRelation",
         "SpeedupResult",
         "HalfStepResult",
         "RelaxationMove",
