@@ -22,17 +22,15 @@ execution backend, emitting the per-batch Amdahl instrumentation
 (``serial_fraction`` and its components: canonical hashing, cache-lock
 wait, coalesce wait, result merge) from ``Engine.last_batch_stats()``.
 
-With ``--kernel NAME`` the derivations run on that kernel tier (``auto`` /
-``mask`` / ``vector``); each completing row then carries the per-fold
-timing breakdown (closed sets, enumeration, matching, domination,
-materialise) from :class:`repro.core.vectorkernel.KernelStats`, and the
-report embeds the frozen pre-vector mask-kernel baseline rows
-(``kernel_baseline_pr8``) for the before/after comparison.
+Each completing row carries the per-fold timing breakdown (closed sets,
+enumeration, matching, domination, materialise) from
+:class:`repro.core.vectorkernel.KernelStats`, and the report embeds the
+frozen pre-vector mask-kernel baseline rows (``kernel_baseline_pr8``) for
+the before/after comparison.
 
 Usage::
 
     python benchmarks/run_speedup_bench.py [--quick] [--search] [--classify]
-        [--kernel auto|mask|vector]
         [--backend serial --backend thread --backend process]
         [--workers N] [--output BENCH_speedup.json]
 
@@ -54,7 +52,6 @@ from pathlib import Path
 
 from repro.core import _legacy
 from repro.core.speedup import EngineLimitError, compute_speedup
-from repro.core.vectorkernel import KERNEL_NAMES, resolve_kernel
 from repro.engine import EXECUTOR_NAMES, Engine, EngineConfig
 from repro.problems.catalog import get_problem
 
@@ -167,17 +164,15 @@ def bench_case(
     delta: int,
     run_legacy: bool,
     warm_rounds: int = 3,
-    kernel: str = "auto",
 ) -> dict:
     """Cold/warm/legacy timings for one catalog ``speedup()`` call."""
     problem = get_problem(name, delta)
-    engine = Engine(EngineConfig(kernel=kernel))
+    engine = Engine()
     cold_s, status, result = _time_call(lambda: engine.speedup(problem))
 
     record: dict = {
         "problem": name,
         "delta": delta,
-        "kernel": resolve_kernel(kernel),
         "status": status,
         "cold_s": round(cold_s, 6),
     }
@@ -207,16 +202,13 @@ def bench_case(
     return record
 
 
-def bench_search_case(
-    name: str, delta: int, max_steps: int, kernel: str = "auto"
-) -> dict:
+def bench_search_case(name: str, delta: int, max_steps: int) -> dict:
     """Time one full lower-bound search run plus its independent re-verify."""
     problem = get_problem(name, delta)
     engine = Engine(
         EngineConfig(
             max_derived_labels=20_000,
             max_candidate_configs=500_000,
-            kernel=kernel,
         )
     )
     start = time.perf_counter()
@@ -225,7 +217,6 @@ def bench_search_case(
     record = {
         "problem": name,
         "delta": delta,
-        "kernel": resolve_kernel(kernel),
         "max_steps": max_steps,
         "search_s": round(search_s, 6),
         "kind": result.kind,
@@ -242,7 +233,6 @@ def bench_search_case(
 def run_search_bench(
     cases: list[tuple[str, int, int, bool]] | None = None,
     quick: bool = False,
-    kernel: str = "auto",
 ) -> list[dict]:
     """Run the search suite; returns the rows for the report."""
     selected = [
@@ -250,14 +240,12 @@ def run_search_bench(
         if not quick or case[3]
     ]
     return [
-        bench_search_case(name, delta, max_steps, kernel=kernel)
+        bench_search_case(name, delta, max_steps)
         for name, delta, max_steps, _ in selected
     ]
 
 
-def bench_classify_case(
-    name: str, delta: int, max_steps: int, kernel: str = "auto"
-) -> dict:
+def bench_classify_case(name: str, delta: int, max_steps: int) -> dict:
     """Time one two-sided ``classify`` run plus its independent re-verify.
 
     The size guards are tighter than the search bench's (the chase fans out
@@ -269,7 +257,6 @@ def bench_classify_case(
         EngineConfig(
             max_derived_labels=2_000,
             max_candidate_configs=50_000,
-            kernel=kernel,
         )
     )
     start = time.perf_counter()
@@ -279,7 +266,6 @@ def bench_classify_case(
     record = {
         "problem": name,
         "delta": delta,
-        "kernel": resolve_kernel(kernel),
         "max_steps": max_steps,
         "classify_s": round(classify_s, 6),
         "bracket": bracket.describe(),
@@ -298,7 +284,6 @@ def bench_classify_case(
 def run_classify_bench(
     cases: list[tuple[str, int, int, bool]] | None = None,
     quick: bool = False,
-    kernel: str = "auto",
 ) -> list[dict]:
     """Run the classify suite; returns the rows for the report."""
     selected = [
@@ -306,14 +291,12 @@ def run_classify_bench(
         if not quick or case[3]
     ]
     return [
-        bench_classify_case(name, delta, max_steps, kernel=kernel)
+        bench_classify_case(name, delta, max_steps)
         for name, delta, max_steps, _ in selected
     ]
 
 
-def bench_backend_case(
-    backend: str, workers: int | None, quick: bool = False, kernel: str = "auto"
-) -> dict:
+def bench_backend_case(backend: str, workers: int | None, quick: bool = False) -> dict:
     """Time one cold ``speedup_many`` batch on ``backend``.
 
     A fresh engine per backend keeps the cache cold, so every distinct
@@ -333,7 +316,6 @@ def bench_backend_case(
             max_workers=workers,
             max_derived_labels=20_000,
             max_candidate_configs=500_000,
-            kernel=kernel,
         )
     )
     start = time.perf_counter()
@@ -355,11 +337,10 @@ def run_backend_bench(
     backends: list[str],
     workers: int | None = None,
     quick: bool = False,
-    kernel: str = "auto",
 ) -> list[dict]:
     """Run the backend batch on each requested backend; returns the rows."""
     return [
-        bench_backend_case(backend, workers, quick=quick, kernel=kernel)
+        bench_backend_case(backend, workers, quick=quick)
         for backend in backends
     ]
 
@@ -372,19 +353,17 @@ def run_bench(
     classify: bool = False,
     backends: list[str] | None = None,
     workers: int | None = None,
-    kernel: str = "auto",
 ) -> dict:
     """Run the suite and return the JSON-ready report."""
     selected = [
         case for case in (cases if cases is not None else CASES)
         if not quick or case[2]
     ]
-    if resolve_kernel(kernel) == "vector":
-        # Pay the one-time numpy import / ufunc warmup outside the timed
-        # rows, so the first cold case is not charged for it.
-        compute_speedup(get_problem("sinkless-orientation", 3), kernel="vector")
+    # Pay the one-time numpy ufunc warmup outside the timed rows, so the
+    # first cold case is not charged for it.
+    compute_speedup(get_problem("sinkless-orientation", 3))
     results = [
-        bench_case(name, delta, run_legacy, warm_rounds=warm_rounds, kernel=kernel)
+        bench_case(name, delta, run_legacy, warm_rounds=warm_rounds)
         for name, delta, _, run_legacy in selected
     ]
     ratios = [r["kernel_speedup"] for r in results if "kernel_speedup" in r]
@@ -392,7 +371,6 @@ def run_bench(
     report = {
         "benchmark": "speedup",
         "quick": quick,
-        "kernel": resolve_kernel(kernel),
         "python": platform.python_version(),
         "unix_time": int(time.time()),
         "results": results,
@@ -419,7 +397,7 @@ def run_bench(
         report["min_kernel_speedup"] = min(ratios)
         report["max_kernel_speedup"] = max(ratios)
     if search:
-        report["search_results"] = run_search_bench(quick=quick, kernel=kernel)
+        report["search_results"] = run_search_bench(quick=quick)
         report["search_baseline_pr3"] = [
             row for row in SEARCH_BASELINE_PR3
             if not quick
@@ -430,10 +408,10 @@ def run_bench(
             )
         ]
     if classify:
-        report["classify_results"] = run_classify_bench(quick=quick, kernel=kernel)
+        report["classify_results"] = run_classify_bench(quick=quick)
     if backends:
         report["backend_results"] = run_backend_bench(
-            backends, workers=workers, quick=quick, kernel=kernel
+            backends, workers=workers, quick=quick
         )
     return report
 
@@ -450,13 +428,6 @@ def main(argv: list[str] | None = None) -> int:
         "--classify",
         action="store_true",
         help="also time two-sided classify runs (bracket + both certificates)",
-    )
-    parser.add_argument(
-        "--kernel",
-        choices=list(KERNEL_NAMES),
-        default="auto",
-        help="kernel tier for the derivations (rows then carry the "
-        "per-fold timing breakdown)",
     )
     parser.add_argument(
         "--backend",
@@ -484,7 +455,6 @@ def main(argv: list[str] | None = None) -> int:
         classify=args.classify,
         backends=args.backend,
         workers=args.workers,
-        kernel=args.kernel,
     )
     Path(args.output).write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
 

@@ -25,6 +25,11 @@ setup(
     packages=find_packages(where="src"),
     package_data={"repro": ["py.typed"]},
     zip_safe=False,
+    # numpy: the derivation's batched matching and materialisation folds
+    # (repro.core.vectorkernel) and repro.superweak.membership; scipy: the
+    # MILP feasibility check in repro.superweak.membership; networkx: the
+    # LOCAL-model simulator (repro.sim).
+    install_requires=["numpy>=2", "scipy", "networkx"],
     extras_require={
         # Static-analysis toolchain; see requirements-dev.txt for the
         # CI-pinned versions.

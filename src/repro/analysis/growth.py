@@ -44,7 +44,6 @@ def measure_growth(
     max_derived_labels: int = MAX_DERIVED_LABELS,
     max_candidate_configs: int = MAX_CANDIDATE_CONFIGS,
     max_live_configs: int = MAX_LIVE_CONFIGS,
-    kernel: str = "auto",
 ) -> list[GrowthRow]:
     """Iterate the speedup up to ``steps`` times, recording sizes per step.
 
@@ -76,7 +75,6 @@ def measure_growth(
                 max_derived_labels=max_derived_labels,
                 max_candidate_configs=max_candidate_configs,
                 max_live_configs=max_live_configs,
-                kernel=kernel,
             ).full
         except EngineLimitError:
             rows.append(

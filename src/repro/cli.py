@@ -60,7 +60,6 @@ from repro.core.problem import Problem, ProblemError
 from repro.core.sequence import EliminationResult
 from repro.engine import (
     EXECUTOR_NAMES,
-    KERNEL_NAMES,
     Engine,
     EngineConfig,
     EngineLimitError,
@@ -148,7 +147,6 @@ def _engine_from_args(args: argparse.Namespace) -> Engine:
         max_candidate_configs=_resolve_max_candidate_configs(args, defaults),
         max_live_configs=getattr(args, "max_live_configs", None)
         or defaults.max_live_configs,
-        kernel=getattr(args, "kernel", None) or defaults.kernel,
         cache_dir=getattr(args, "cache_dir", None),
         zero_round_memo=not getattr(args, "no_zero_memo", False),
         executor=getattr(args, "backend", None) or defaults.executor,
@@ -452,15 +450,7 @@ def build_parser() -> argparse.ArgumentParser:
             "(a hung worker is terminated and the task retried)",
         )
 
-    def add_kernel(p: argparse.ArgumentParser) -> None:
-        p.add_argument(
-            "--kernel",
-            choices=KERNEL_NAMES,
-            help="derivation kernel tier: auto (default; or set REPRO_KERNEL) "
-            "picks the vectorized numpy tier when numpy is usable, mask "
-            "forces the scalar big-int kernel, vector requests numpy "
-            "(falling back to mask without it); results are identical",
-        )
+    def add_live_limit(p: argparse.ArgumentParser) -> None:
         p.add_argument(
             "--max-live-configs",
             type=int,
@@ -493,7 +483,7 @@ def build_parser() -> argparse.ArgumentParser:
         help=argparse.SUPPRESS,  # deprecated alias for --max-candidate-configs
     )
     p_speedup.add_argument("--cache-dir", help="persistent JSON cache directory")
-    add_kernel(p_speedup)
+    add_live_limit(p_speedup)
     add_backend(p_speedup)
     p_speedup.set_defaults(func=cmd_speedup)
 
@@ -511,7 +501,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument(
         "--progress", action="store_true", help="print per-step progress to stderr"
     )
-    add_kernel(p_run)
+    add_live_limit(p_run)
     add_backend(p_run)
     p_run.set_defaults(func=cmd_run)
 
@@ -583,7 +573,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="disable the cross-branch 0-round verdict memo",
     )
-    add_kernel(p_search)
+    add_live_limit(p_search)
     add_backend(p_search)
     p_search.add_argument("--json", action="store_true", help="emit JSON output")
     p_search.set_defaults(func=cmd_search)
@@ -677,7 +667,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="disable the cross-branch 0-round verdict memo",
     )
-    add_kernel(p_classify)
+    add_live_limit(p_classify)
     add_backend(p_classify)
     p_classify.add_argument("--json", action="store_true", help="emit JSON output")
     p_classify.set_defaults(func=cmd_classify)

@@ -191,7 +191,6 @@ def run_round_elimination(
     max_derived_labels: int | None = None,
     max_candidate_configs: int | None = None,
     max_live_configs: int | None = None,
-    kernel: str | None = None,
 ) -> EliminationResult:
     """Run the iterated speedup pipeline.
 
@@ -214,7 +213,7 @@ def run_round_elimination(
         Test each new problem for isomorphism against all previous ones.
     stop_at_zero_round:
         Stop as soon as a 0-round solvable problem appears.
-    max_derived_labels / max_candidate_configs / max_live_configs / kernel:
+    max_derived_labels / max_candidate_configs / max_live_configs:
         Optional :class:`repro.engine.EngineConfig` overrides for the
         pipeline's derivations (``None`` keeps the default engine's
         values).  Explicit ceilings matter more since the streaming full
@@ -242,7 +241,6 @@ def run_round_elimination(
         ("max_derived_labels", max_derived_labels),
         ("max_candidate_configs", max_candidate_configs),
         ("max_live_configs", max_live_configs),
-        ("kernel", kernel),
     ):
         if value is not None:
             overrides[name] = value

@@ -51,10 +51,11 @@ from itertools import chain, product
 from time import perf_counter
 from typing import Any
 
+import numpy
+
 from repro.core.alphabet import (
     Alphabet,
     intern,
-    iter_bits,
     mask_matching_exists,
     set_label_name,
     short_names,
@@ -68,11 +69,7 @@ from repro.core.problem import EdgeRelation, Label, Problem, edge_config, node_c
 from repro.core.vectorkernel import (
     AllowsTable,
     KernelStats,
-    VectorFrontier,
-    enumerate_filters_vector,
     existential_edge_matrix,
-    get_numpy,
-    resolve_kernel,
     unpack_masks,
 )
 
@@ -84,8 +81,6 @@ __all__ = [
     "MAX_DERIVED_LABELS",
     "MAX_CANDIDATE_CONFIGS",
     "MAX_LIVE_CONFIGS",
-    "STREAM_CHUNK",
-    "resolve_kernel",
     "set_label_name",
     "short_names",
     "half_step",
@@ -117,11 +112,9 @@ MAX_DERIVED_LABELS = 100_000
 MAX_CANDIDATE_CONFIGS = 8_000_000
 MAX_LIVE_CONFIGS = 1_000_000
 
-#: How many streamed candidate configurations are buffered between
-#: domination-frontier flushes.  Pure batching: insertions happen strictly
-#: in stream order inside a flush, so results are chunk-size-invariant (the
-#: differential suite asserts byte-identical results across chunk sizes).
-STREAM_CHUNK = 2048
+#: ``AllowsTable`` packs the positions of a node configuration into
+#: ``uint16``, so larger degrees complete prefixes with the scalar matching.
+_ALLOWS_TABLE_MAX_DELTA = 16
 
 
 @dataclass(frozen=True)
@@ -307,7 +300,7 @@ class _MaskMembership:
                     overlap ^= low
                 slot_positions.append(allowed)
             # Memoised behind ``extendable``'s cache: amortised-constant
-            # per distinct slot tuple, so the scalar tier is fine here.
+            # per distinct slot tuple, so scalar matching is fine here.
             if realizable and mask_matching_exists(  # relint: allow[unbatched-matching]
                 slot_positions
             ):
@@ -321,7 +314,6 @@ def half_step(
     *,
     max_derived_labels: int = MAX_DERIVED_LABELS,
     max_candidate_configs: int = MAX_CANDIDATE_CONFIGS,
-    kernel: str = "auto",
     stats: KernelStats | None = None,
 ) -> HalfStepResult:
     """Derive ``Pi_{1/2}`` (simplified: ``Pi'_{1/2}``) from ``Pi``.
@@ -333,15 +325,10 @@ def half_step(
     all non-empty subsets and the edge constraint contains every universally
     compatible pair.  (The empty set is omitted: the existential node
     constraint can never use it, so it is unusable by definition.)
-
-    ``kernel`` selects the evaluation tier for the closed-set fixed point
-    (see :func:`repro.core.vectorkernel.resolve_kernel`); results are
-    identical for every choice.
     """
     interned = intern(problem)
     alphabet = interned.alphabet
     comp = Compatibility(problem)
-    resolved = resolve_kernel(kernel)
     if simplify:
         # The closed-set enumeration is the one derivation phase whose size
         # is unknowable a priori; the limit aborts it incrementally (search
@@ -349,7 +336,7 @@ def half_step(
         # instead of failing fast).
         started = perf_counter()
         half_masks = sorted(
-            comp.usable_closed_masks(limit=max_derived_labels, kernel=resolved),
+            comp.usable_closed_masks(limit=max_derived_labels),
             key=alphabet.indices,
         )
         if stats is not None:
@@ -433,8 +420,6 @@ def full_step(
     max_derived_labels: int = MAX_DERIVED_LABELS,
     max_candidate_configs: int = MAX_CANDIDATE_CONFIGS,
     max_live_configs: int = MAX_LIVE_CONFIGS,
-    kernel: str = "auto",
-    stream_chunk: int = STREAM_CHUNK,
     stats: KernelStats | None = None,
 ) -> SpeedupResult:
     """Derive ``Pi_1`` (simplified: ``Pi'_1``) from a half-step result.
@@ -450,19 +435,15 @@ def full_step(
     ``C(candidates + delta - 1, delta)`` refusal -- ``max_candidate_configs``
     charges enumeration work incrementally and ``max_live_configs`` caps the
     undominated frontier actually held in memory.  The unsimplified
-    (Theorem 1) path keeps the historical a-priori grid guard.  ``kernel``
-    selects the scalar big-int or the bit-packed numpy evaluation tier;
-    results are identical for every kernel, chunk size, and limit setting
-    that does not trip.
+    (Theorem 1) path keeps the historical a-priori grid guard.  Results
+    are identical for every limit setting that does not trip.
     """
     half_problem = half.problem
     meaning = half.meaning
     original_alphabet = intern(half.original).alphabet
     membership = _MaskMembership(half.original)
-    resolved = resolve_kernel(kernel)
-    np_ = get_numpy() if resolved == "vector" else None
     if stats is None:
-        stats = KernelStats(kernel=resolved)
+        stats = KernelStats()
 
     # Intern the half alphabet: half labels get their own bit positions, and
     # each gets its meaning as a mask over the *original* alphabet.
@@ -486,14 +467,9 @@ def full_step(
 
     if simplify:
         started = perf_counter()
-        if np_ is not None:
-            candidate_masks = enumerate_filters_vector(
-                half_count, up, comparable, max_derived_labels
-            )
-        else:
-            candidate_masks = _enumerate_filters(
-                half_count, up, comparable, max_derived_labels
-            )
+        candidate_masks = _enumerate_filters(
+            half_count, up, comparable, max_derived_labels
+        )
         stats.enumeration_s += perf_counter() - started
     else:
         if 2**half_count > max_derived_labels:
@@ -554,23 +530,16 @@ def full_step(
         # bounded by the surviving frontier (``max_live_configs``) and time
         # by the incremental work charge (``max_candidate_configs``).
         allows_table = None
-        if np_ is not None and delta <= 16:
+        if delta <= _ALLOWS_TABLE_MAX_DELTA:
             interned_original = intern(half.original)
             allows_table = AllowsTable(
-                np_,
                 delta,
                 interned_original.config_supports,
                 interned_original.config_position_masks,
                 meaning_masks,
                 original_alphabet.size,
             )
-        frontier: _MaskFrontier | VectorFrontier
-        if np_ is not None:
-            frontier = VectorFrontier(
-                np_, half_count, delta, max_live_configs, _config_dominates
-            )
-        else:
-            frontier = _MaskFrontier(max_live_configs)
+        frontier = _MaskFrontier(max_live_configs)
         _stream_maximal_configs(
             candidate_masks,
             delta,
@@ -584,7 +553,6 @@ def full_step(
             allows_table,
             frontier,
             max_candidate_configs,
-            stream_chunk,
             stats,
         )
         allowed_configs = frontier.survivors()
@@ -658,65 +626,35 @@ def full_step(
         for config in allowed_configs
     ]
 
-    # The edge relation stays one adjacency row per used label (bit j of
+    # The edge relation stays one boolean row per used label (entry j of
     # row i: the pair {i, j} has an existential witness) through the
     # compressed() fixpoint and the rename; only the final rows, permuted
     # into the derived alphabet's order, are kept.  The rows are symmetric
     # without a second pass: partner bits follow the Galois connection
     # (Z is in comp(Y) iff Y is in comp(Z), and closed half labels are each
     # other's polar partners), so either orientation witnesses the pair.
-    hits = None
-    adjacency: list[int] = []
-    if np_ is not None:
-        hits = existential_edge_matrix(used_masks, partner_union, half_count)
-        # The compressed() fixpoint: usable = mentioned in both relations;
-        # dropping labels invalidates configurations, so iterate.
-        alive = np_.ones(used_count, dtype=bool)
-        in_edges = hits.any(axis=1)
-        while True:
-            in_nodes = np_.zeros(used_count, dtype=bool)
-            if node_index_configs:
-                in_nodes[
-                    np_.fromiter(chain.from_iterable(node_index_configs), dtype=np_.int64)
-                ] = True
-            usable = in_edges & in_nodes
-            if np_.array_equal(usable, alive):
-                break
-            alive = usable
-            in_edges = hits[:, alive].any(axis=1) & alive
-            node_index_configs = [
-                config
-                for config in node_index_configs
-                if all(alive[index] for index in config)
-            ]
-        surviving = np_.nonzero(alive)[0].tolist()
-    else:
-        for first in range(used_count):
-            row = 0
-            for second in range(used_count):
-                if partner_union[first] & used_masks[second]:
-                    row |= 1 << second
-            adjacency.append(row)
-        alive_mask = (1 << used_count) - 1
-        while True:
-            in_edges_mask = 0
-            for index in iter_bits(alive_mask):
-                if adjacency[index] & alive_mask:
-                    in_edges_mask |= 1 << index
-            in_nodes_mask = 0
-            for index in chain.from_iterable(node_index_configs):
-                in_nodes_mask |= 1 << index
-            usable_mask = in_edges_mask & in_nodes_mask
-            if usable_mask == alive_mask:
-                break
-            alive_mask = usable_mask
-            node_index_configs = [
-                config
-                for config in node_index_configs
-                if all((alive_mask >> index) & 1 for index in config)
-            ]
-        surviving = list(iter_bits(alive_mask))
-        adjacency = [row & alive_mask for row in adjacency]
+    hits = existential_edge_matrix(used_masks, partner_union, half_count)
+    # The compressed() fixpoint: usable = mentioned in both relations;
+    # dropping labels invalidates configurations, so iterate.
+    alive = numpy.ones(used_count, dtype=bool)
+    in_edges = hits.any(axis=1)
+    while True:
+        in_nodes = numpy.zeros(used_count, dtype=bool)
+        if node_index_configs:
+            in_nodes[
+                numpy.fromiter(chain.from_iterable(node_index_configs), dtype=numpy.int64)
+            ] = True
+        usable = in_edges & in_nodes
+        if numpy.array_equal(usable, alive):
+            break
+        alive = usable
+        in_edges = hits[:, alive].any(axis=1) & alive
+        node_index_configs = [
+            config
+            for config in node_index_configs
+            if all(alive[index] for index in config)
+        ]
+    surviving = numpy.nonzero(alive)[0].tolist()
 
     # Rename to short atomic labels for iteration; keep provenance.  The
     # fresh names avoid the original problem's own labels so a derived label
@@ -738,19 +676,12 @@ def full_step(
     # order, over bit positions in that same order.
     order = sorted(surviving, key=short_of.__getitem__)
     masks: list[int] = []
-    if hits is not None and order:
-        positions = np_.array(order, dtype=np_.intp)
+    if order:
+        positions = numpy.array(order, dtype=numpy.intp)
         masks = unpack_masks(
-            np_.packbits(hits[np_.ix_(positions, positions)], axis=1, bitorder="little")
+            numpy.packbits(hits[numpy.ix_(positions, positions)], axis=1, bitorder="little")
         )
-    elif order:
-        position = {index: rank for rank, index in enumerate(order)}
-        for index in order:
-            row = 0
-            for other in iter_bits(adjacency[index]):
-                row |= 1 << position[other]
-            masks.append(row)
-    del hits, adjacency
+    del hits
     edge_constraint = EdgeRelation(
         tuple(short_of[index] for index in order), tuple(masks)
     )
@@ -789,25 +720,20 @@ def compute_speedup(
     max_derived_labels: int = MAX_DERIVED_LABELS,
     max_candidate_configs: int = MAX_CANDIDATE_CONFIGS,
     max_live_configs: int = MAX_LIVE_CONFIGS,
-    kernel: str = "auto",
-    stream_chunk: int = STREAM_CHUNK,
 ) -> SpeedupResult:
     """The raw (uncached) derivation ``Pi -> Pi_{1/2} -> Pi_1``.
 
     This is the computational core behind :func:`speedup` and
     :meth:`repro.engine.Engine.speedup`; it never consults a cache.  The
-    result is identical for every ``kernel`` / ``stream_chunk`` choice; the
     per-fold timing breakdown is attached as
     :attr:`SpeedupResult.kernel_stats`.
     """
-    resolved = resolve_kernel(kernel)
-    stats = KernelStats(kernel=resolved)
+    stats = KernelStats()
     half = half_step(
         problem,
         simplify=simplify,
         max_derived_labels=max_derived_labels,
         max_candidate_configs=max_candidate_configs,
-        kernel=resolved,
         stats=stats,
     )
     return full_step(
@@ -816,8 +742,6 @@ def compute_speedup(
         max_derived_labels=max_derived_labels,
         max_candidate_configs=max_candidate_configs,
         max_live_configs=max_live_configs,
-        kernel=resolved,
-        stream_chunk=stream_chunk,
         stats=stats,
     )
 
@@ -975,9 +899,8 @@ def _stream_maximal_configs(
     extendable: Callable[[tuple[int, ...]], bool],
     sort_key: Callable[[int], object],
     allows_table: AllowsTable | None,
-    frontier: "_MaskFrontier | VectorFrontier",
+    frontier: _MaskFrontier,
     max_candidate_configs: int,
-    stream_chunk: int,
     stats: KernelStats,
 ) -> None:
     """Stream universal configurations via prefix completion (simplified path).
@@ -993,20 +916,19 @@ def _stream_maximal_configs(
     yields a superset of the maximal configurations consisting of universal
     configurations only; the domination ``frontier`` then keeps exactly the
     maximal set -- the same result the exhaustive delta-tuple walk produces,
-    at a whole exponent less work, and *streamed*: completions are buffered
-    ``stream_chunk`` at a time and filtered on the fly, so memory tracks the
-    undominated frontier instead of the full completion multiset.
+    at a whole exponent less work, and *streamed*: each completion is
+    filtered on the fly, so memory tracks the undominated frontier instead
+    of the full completion multiset.
 
     ``max_candidate_configs`` is charged incrementally -- one unit per prefix
     extension attempted and per completion computed -- in deterministic DFS
-    order, so the trip point is independent of kernel and chunk size.  With
-    an :class:`~repro.core.vectorkernel.AllowsTable` the per-completion inner
-    loop evaluates every last label in one batched Hall test; the scalar
-    fallback walks the memoised matching per label.
+    order.  With an :class:`~repro.core.vectorkernel.AllowsTable` the
+    per-completion inner loop evaluates every last label in one batched Hall
+    test; without one (``delta > 16``, beyond the table's ``uint16``
+    position masks) it walks the memoised matching per label.
     """
     all_labels = (1 << half_count) - 1
     prefix: list[int] = []
-    buffer: list[tuple[int, ...]] = []
     work = 0
 
     def charge() -> None:
@@ -1020,14 +942,6 @@ def _stream_maximal_configs(
                 limit=max_candidate_configs,
                 observed=work,
             )
-
-    def flush() -> None:
-        if buffer:
-            started = perf_counter()
-            frontier.insert_chunk(buffer)
-            stats.domination_s += perf_counter() - started
-            stats.configs_streamed += len(buffer)
-            buffer.clear()
 
     def complete() -> None:
         """Compute U for the current prefix and stream its completion."""
@@ -1065,9 +979,11 @@ def _stream_maximal_configs(
             low = remaining & -remaining
             remaining ^= low
             completion |= up[low.bit_length() - 1]
-        buffer.append(tuple(sorted([*prefix, completion], key=sort_key)))
-        if len(buffer) >= stream_chunk:
-            flush()
+        config = tuple(sorted([*prefix, completion], key=sort_key))
+        started = perf_counter()
+        frontier.insert(config)
+        stats.domination_s += perf_counter() - started
+        stats.configs_streamed += 1
 
     def extend(start: int) -> None:
         if len(prefix) == delta - 1:
@@ -1081,19 +997,17 @@ def _stream_maximal_configs(
             prefix.pop()
 
     extend(0)
-    flush()
 
 
 class _MaskFrontier:
-    """Scalar streaming domination frontier (the big-int twin of
-    :class:`repro.core.vectorkernel.VectorFrontier`).
+    """Streaming domination frontier over big-int configuration masks.
 
     Maintains the maximal antichain of the configurations inserted so far
     under componentwise set containment.  Mutual domination implies
     equality, so the surviving *set* is the unique maximal antichain of the
-    stream -- independent of insertion order and chunking, which is what
-    makes the streaming full step byte-identical to the historic collect-
-    then-filter pass.  A strict dominator always has strictly more total
+    stream -- independent of insertion order, which is what makes the
+    streaming full step byte-identical to the historic collect-then-filter
+    pass.  A strict dominator always has strictly more total
     bits, so only entries with a strictly larger total are dominator
     candidates (and only strictly smaller totals can be evicted), with the
     union-superset and sorted-popcount-profile prefilters skipping almost
@@ -1102,6 +1016,11 @@ class _MaskFrontier:
     ``max_live`` caps the *live* frontier: the error fires only when the
     undominated set itself -- and with it the derived problem's node
     constraint -- would exceed the cap, never on the raw completion count.
+
+    The fold is scalar by measurement: a numpy frontier took 0.036 s
+    against 0.017 s over the eleven cold derivations of the ``derive-cold``
+    benchmark workload, and 5.0 s against 2.8 s on weak-2-coloring[3]
+    classify.
     """
 
     def __init__(self, max_live: int):
@@ -1159,10 +1078,6 @@ class _MaskFrontier:
                 observed=self._max_live + 1,
             )
 
-    def insert_chunk(self, configs: Sequence[tuple[int, ...]]) -> None:
-        for config in configs:
-            self.insert(config)
-
     def survivors(self) -> list[tuple[int, ...]]:
         return sorted(self._entries)
 
@@ -1181,54 +1096,3 @@ def _config_dominates(big: tuple[int, ...], small: tuple[int, ...]) -> bool:
             return False
         position_masks.append(allowed)
     return mask_matching_exists(position_masks)
-
-
-def _discard_dominated(configs: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
-    """Keep only configurations maximal under componentwise set containment.
-
-    ``A`` dominates ``B`` iff some bijection pairs every component of ``B``
-    with a distinct superset component of ``A`` -- a perfect-matching test
-    over position masks.  Mutual domination implies equality, so the
-    survivors are an antichain.
-
-    A strict dominator always has strictly more total bits (a componentwise
-    bijection onto supersets with equal totals forces equality), and
-    domination is transitive, so processing configurations in decreasing
-    total-popcount order and testing only against the already-kept maximal
-    ones is exact while skipping almost all of the quadratic pair grid.
-
-    The streaming full step maintains the same antichain incrementally
-    (:class:`_MaskFrontier` / :class:`~repro.core.vectorkernel.
-    VectorFrontier`); this one-shot filter remains as the order-insensitive
-    reference the frontier equivalence tests check against.
-    """
-    dominates = _config_dominates
-    annotated = []
-    for config in configs:
-        union = 0
-        for component in config:
-            union |= component
-        popcounts = tuple(
-            sorted((component.bit_count() for component in config), reverse=True)
-        )
-        annotated.append((sum(popcounts), popcounts, union, config))
-    annotated.sort(key=lambda entry: -entry[0])
-
-    kept: list[tuple[int, tuple[int, ...], int, tuple[int, ...]]] = []
-    survivors: list[tuple[int, ...]] = []
-    for total, popcounts, union, config in annotated:
-        dominated = False
-        for kept_total, kept_pops, kept_union, kept_config in kept:
-            if kept_total == total:
-                continue  # equal totals cannot strictly dominate
-            if union & ~kept_union:
-                continue
-            if any(p > kp for p, kp in zip(popcounts, kept_pops)):
-                continue
-            if dominates(kept_config, config):
-                dominated = True
-                break
-        if not dominated:
-            kept.append((total, popcounts, union, config))
-            survivors.append(config)
-    return survivors

@@ -32,11 +32,10 @@ of the AND of the out-labels' adjacency masks).  Witnesses still carry the
 original name tuples, and the search visits splits in the same deterministic
 order as the legacy string path, so the witness found is identical.
 
-The polar queries here stay scalar by design even when the vectorized tier
-(:mod:`repro.core.vectorkernel`) is active: each DFS step asks for one
-memoised ``polar_mask`` of a running union, a data-dependent chain with no
-candidate batch to evaluate, unlike the closed-set fixed point or the full
-step's completion fold.
+The polar queries here stay scalar by design, unlike the full step's
+completion matching and materialisation (:mod:`repro.core.vectorkernel`):
+each DFS step asks for one memoised ``polar_mask`` of a running union, a
+data-dependent chain with no candidate batch to evaluate.
 """
 
 from __future__ import annotations

@@ -20,7 +20,6 @@ the cache.
 from repro.core.canonical import CanonicalForm, canonical_form, canonical_hash
 from repro.core.speedup import EngineLimitError
 from repro.engine.cache import SpeedupCache
-from repro.core.vectorkernel import KERNEL_NAMES
 from repro.engine.config import EXECUTOR_NAMES, EngineConfig
 from repro.engine.engine import (
     Engine,
@@ -46,7 +45,6 @@ __all__ = [
     "ExpandTask",
     "FaultPlan",
     "InjectedFault",
-    "KERNEL_NAMES",
     "RetryPolicy",
     "RunTask",
     "SpeedupCache",

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.core.speedup import MAX_CANDIDATE_CONFIGS, MAX_DERIVED_LABELS, MAX_LIVE_CONFIGS
-from repro.core.vectorkernel import KERNEL_NAMES
+from repro.core.vectorkernel import resolve_kernel
 from repro.engine.faultinject import parse_fault_plan
 from repro.engine.resilience import RetryPolicy
 
@@ -42,16 +42,6 @@ def _default_fault_plan() -> str | None:
     variable means fault-free execution.
     """
     return os.environ.get("REPRO_FAULT_PLAN") or None
-
-
-def _default_kernel() -> str:
-    """The default kernel tier: ``REPRO_KERNEL`` when set, else ``auto``.
-
-    Mirrors ``REPRO_EXECUTOR``: CI matrices flip the whole suite between
-    the scalar big-int and the vectorized numpy tiers without touching any
-    construction site.
-    """
-    return os.environ.get("REPRO_KERNEL", "auto")
 
 
 @dataclass(frozen=True)
@@ -89,13 +79,11 @@ class EngineConfig:
         (superweak-3 / weak-3 coloring at delta=2 went from days of wall
         clock to seconds under the same defaults).
     kernel:
-        Evaluation tier of the derivation hot paths
-        (:mod:`repro.core.vectorkernel`): ``"mask"`` forces the scalar
-        big-int kernel, ``"vector"`` requests the bit-packed numpy tier
-        (falling back to ``"mask"`` when numpy is unavailable), and
-        ``"auto"`` -- the default -- picks ``"vector"`` whenever numpy is
-        usable.  Results are identical on every tier; the default honors
-        the ``REPRO_KERNEL`` environment variable.
+        A validated no-op.  Every derivation fold has one implementation,
+        so there is no tier to pick; ``"auto"`` (the default) and
+        ``"vector"`` are accepted, ``"mask"`` (the removed scalar tier)
+        raises ``ValueError``.  The field stays only because
+        ``perfbench/workload.py`` passes ``kernel="vector"``.
     cache:
         Memoise speedup derivations in a content-addressed cache keyed on the
         canonical problem hash (:mod:`repro.core.canonical`), so repeated --
@@ -176,7 +164,7 @@ class EngineConfig:
     max_derived_labels: int = MAX_DERIVED_LABELS
     max_candidate_configs: int = MAX_CANDIDATE_CONFIGS
     max_live_configs: int = MAX_LIVE_CONFIGS
-    kernel: str = field(default_factory=_default_kernel)
+    kernel: str = "auto"  # no-op; perfbench/workload.py still passes it
     cache: bool = True
     cache_size: int = 512
     cache_max_weight: int | None = 5_000_000
@@ -201,10 +189,7 @@ class EngineConfig:
             raise ValueError("max_candidate_configs must be positive")
         if self.max_live_configs < 1:
             raise ValueError("max_live_configs must be positive")
-        if self.kernel not in KERNEL_NAMES:
-            raise ValueError(
-                f"kernel must be one of {KERNEL_NAMES}, got {self.kernel!r}"
-            )
+        resolve_kernel(self.kernel)
         if self.cache_size < 1:
             raise ValueError("cache_size must be positive")
         if self.cache_max_weight is not None and self.cache_max_weight < 1:

@@ -187,7 +187,6 @@ class Engine:
             simplify=cfg.simplify if simplify is None else simplify,
             max_derived_labels=cfg.max_derived_labels,
             max_candidate_configs=cfg.max_candidate_configs,
-            kernel=cfg.kernel,
         )
 
     def speedup(self, problem: Problem, simplify: bool | None = None) -> SpeedupResult:
@@ -206,7 +205,6 @@ class Engine:
                 max_derived_labels=cfg.max_derived_labels,
                 max_candidate_configs=cfg.max_candidate_configs,
                 max_live_configs=cfg.max_live_configs,
-                kernel=cfg.kernel,
             )
         # Single-flight: a miss makes this call the canonical key's leader
         # (concurrent requests for the same key -- renamed twins included --
@@ -222,7 +220,6 @@ class Engine:
                 max_derived_labels=cfg.max_derived_labels,
                 max_candidate_configs=cfg.max_candidate_configs,
                 max_live_configs=cfg.max_live_configs,
-                kernel=cfg.kernel,
             )
         except BaseException:
             # Leadership must not outlive a failed derivation: wake the

@@ -15,9 +15,8 @@
 * ``"process"`` -- a ``ProcessPoolExecutor`` shipping pickled tasks to
   worker processes, each owning a private serial :class:`~repro.engine.
   engine.Engine` built from the parent's configuration -- including the
-  ``kernel`` tier and the streaming limits, so every worker resolves
-  ``"auto"`` against its own numpy availability and derives with the same
-  caps as the parent would.  Workers record
+  streaming limits, so every worker derives with the same caps as the
+  parent would.  Workers record
   every speedup-cache insert and 0-round-memo verdict as deltas
   (:meth:`~repro.engine.cache.SpeedupCache.drain_recorded`); the parent
   merges them back so its caches end a batch as warm as a serial run's.

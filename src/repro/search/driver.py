@@ -32,11 +32,9 @@ attempted, and states whose derivation trips the engine's size guards
 pursued.  Since the streaming full step retired the a-priori candidate-grid
 refusal, those trips report real enumeration work (``max_candidate_configs``)
 or a genuinely oversized surviving frontier (``max_live_configs``), so the
-search prunes on actual blow-ups rather than pessimistic grid predictions --
-and the engine's ``kernel`` tier (scalar big-int or vectorized numpy) only
-changes how fast candidates are decided, never which ones survive.  If no
-fixed point appears within ``max_steps`` rounds, the deepest surviving chain
-is returned as a concrete ``k``-round certificate.
+search prunes on actual blow-ups rather than pessimistic grid predictions.
+If no fixed point appears within ``max_steps`` rounds, the deepest surviving
+chain is returned as a concrete ``k``-round certificate.
 """
 
 from __future__ import annotations

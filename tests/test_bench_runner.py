@@ -21,10 +21,7 @@ TINY_CASES = [
 
 
 def test_run_bench_report_shape():
-    # Pinned to the mask kernel: the tiny cases are sub-millisecond, where
-    # the vector tier's fixed per-call overhead would make the legacy ratio
-    # round to zero (the ratio assertions below are about shape, not perf).
-    report = run_bench(cases=TINY_CASES, warm_rounds=1, kernel="mask")
+    report = run_bench(cases=TINY_CASES, warm_rounds=1)
     assert report["benchmark"] == "speedup"
     assert len(report["results"]) == 2
     for record in report["results"]:
@@ -105,23 +102,16 @@ def test_report_embeds_search_baseline(monkeypatch):
     assert baseline[0]["verified"] is True
 
 
-def test_kernel_flag_and_fold_breakdown():
-    from repro.core.vectorkernel import resolve_kernel
-
-    for kernel in ("mask", "auto"):
-        report = run_bench(cases=TINY_CASES, warm_rounds=1, kernel=kernel)
-        resolved = resolve_kernel(kernel)
-        assert report["kernel"] == resolved
-        for record in report["results"]:
-            assert record["kernel"] == resolved
-            folds = record["fold_s"]
-            assert folds["kernel"] == resolved
-            for phase in ("closed_sets_s", "enumeration_s", "matching_s",
-                          "domination_s", "materialise_s"):
-                assert folds[phase] >= 0
-            assert folds["configs_streamed"] >= folds["frontier_peak"] > 0
-        # None of the tiny cases has a frozen pre-vector baseline row.
-        assert report["kernel_baseline_pr8"] == []
+def test_fold_breakdown():
+    report = run_bench(cases=TINY_CASES, warm_rounds=1)
+    for record in report["results"]:
+        folds = record["fold_s"]
+        for phase in ("closed_sets_s", "enumeration_s", "matching_s",
+                      "domination_s", "materialise_s"):
+            assert folds[phase] >= 0
+        assert folds["configs_streamed"] >= folds["frontier_peak"] > 0
+    # None of the tiny cases has a frozen pre-vector baseline row.
+    assert report["kernel_baseline_pr8"] == []
 
 
 def test_report_embeds_kernel_baseline_for_selected_cases(monkeypatch):

@@ -260,18 +260,12 @@ def test_derived_problems_revalidate(derived_and_twin_hits, case):
     "case", DERIVE_CASES, ids=lambda case: "%s[%d]" % case
 )
 def test_derived_edge_relation_behaves_as_the_string_path(case):
-    """Both kernels' Pi_1 relations act as the frozenset the string path builds."""
+    """The derived Pi_1 relation acts as the frozenset the string path builds."""
     from repro.core.speedup import compute_speedup
     from repro.problems.catalog import get_problem
 
-    problem = get_problem(*case)
-    masked = compute_speedup(problem, kernel="mask")
-    vector = compute_speedup(problem, kernel="vector")
-    # The two kernels hold identical relation state, so the set checks
-    # below cover both.
-    assert masked.full.edge_constraint.names == vector.full.edge_constraint.names
-    assert masked.full.edge_constraint.masks == vector.full.edge_constraint.masks
-    assert_behaves_as(vector.full, legacy_edge_relation(masked))
+    result = compute_speedup(get_problem(*case))
+    assert_behaves_as(result.full, legacy_edge_relation(result))
 
 
 def test_derived_edge_relation_stays_condensed():

@@ -1,49 +1,35 @@
-"""Differential tests: the vector kernel tier against the scalar mask path.
+"""The derivation folds: one implementation each, checked against references.
 
-``repro.core.vectorkernel`` batch-evaluates the hot folds over bit-packed
-``uint64`` rows; the contract (module docstring there) is *exact*
-equivalence with the scalar mask kernel -- byte-identical
-``SpeedupResult.to_dict()`` payloads, identical ``EngineLimitError`` trip
-points with identical ``observed`` counts, for every chunk size and for
-alphabets past the 64-bit single-word boundary.  These tests enforce that
-contract over the fast catalog, hundreds of seeded random problems, and
-targeted unit probes of each batched fold, so the kernel choice stays a
-pure performance knob.
-
-Everything numpy-dependent is skipped when the vector tier is unavailable
-(no numpy, numpy < 2, or ``REPRO_NO_NUMPY``): the CI numpy-absent leg then
-still proves the mask fallback resolves and computes.
+Every fold of ``half_step`` / ``full_step`` has exactly one implementation
+(``repro.core.vectorkernel`` holds the numpy ones: prefix-completion
+matching and materialisation).  These tests pin the pieces the catalog
+differential suite (``test_differential_kernel.py``) reaches only
+indirectly: the packed-row helpers, the filter enumeration, the streaming
+domination frontier, the scalar completion loop that serves ``delta > 16``,
+multi-word packed rows, limit trips under tight limits, independence of
+the packed bit layout, and the ``kernel`` compatibility surface the
+benchmark harness still uses.
 """
 
 import json
 import random
 
+import numpy
 import pytest
 
+from repro.core import _legacy
 from repro.core import vectorkernel as vk
+from repro.core.isomorphism import are_isomorphic
 from repro.core.problem import Problem
 from repro.core.speedup import (
     EngineLimitError,
-    _config_dominates,
-    _discard_dominated,
     _enumerate_filters,
     _MaskFrontier,
     compute_speedup,
 )
+from repro.engine import Engine, EngineConfig
 from repro.problems.catalog import catalog
 from repro.utils.multiset import multisets_of_size
-
-needs_numpy = pytest.mark.skipif(
-    not vk.vector_ready(),
-    reason="vector tier unavailable (numpy >= 2 missing or REPRO_NO_NUMPY)",
-)
-
-SEED_COUNT = 200
-
-#: Catalog instances whose *mask-side* derivation is too slow to run twice
-#: in tier-1 (weak/superweak stream millions of completions; 5/6-coloring
-#: are minute-scale on any kernel).  The benchmark suite covers them.
-HEAVY = {"5-coloring", "6-coloring", "weak-3-coloring", "superweak-3-coloring"}
 
 
 def random_problem(seed: int) -> Problem:
@@ -59,61 +45,47 @@ def random_problem(seed: int) -> Problem:
     return Problem.make(f"rnd{seed}", delta, edge, node, labels=labels)
 
 
-def result_json(problem: Problem, kernel: str, **limits) -> str:
-    result = compute_speedup(problem, kernel=kernel, **limits)
-    assert result.kernel_stats is not None
-    assert result.kernel_stats.kernel == vk.resolve_kernel(kernel)
-    payload = result.to_dict()
-    assert "kernel" not in payload  # stats stay out of the result payload
-    return json.dumps(payload, sort_keys=True)
+def result_json(result) -> str:
+    return json.dumps(result.to_dict(), sort_keys=True)
 
 
-def assert_kernels_agree(problem: Problem, **limits) -> None:
-    """Mask and vector agree byte-for-byte -- on results *and* on trips."""
-    try:
-        mask_json = result_json(problem, "mask", **limits)
-    except EngineLimitError as mask_error:
-        with pytest.raises(EngineLimitError) as vector_error:
-            result_json(problem, "vector", **limits)
-        assert vector_error.value.limit_name == mask_error.limit_name
-        assert vector_error.value.limit == mask_error.limit
-        assert vector_error.value.observed == mask_error.observed
-        assert str(vector_error.value) == str(mask_error)
-    else:
-        assert result_json(problem, "vector", **limits) == mask_json
+# -- the kernel compatibility surface -------------------------------------------
 
 
-# -- kernel selection ---------------------------------------------------------
-
-
-def test_resolve_kernel_names_and_degradation(monkeypatch):
-    assert vk.resolve_kernel("mask") == "mask"
-    assert vk.resolve_kernel("auto") in ("mask", "vector")
-    assert vk.resolve_kernel("vector") in ("mask", "vector")
+def test_resolve_kernel_accepts_only_the_single_tier():
+    assert vk.resolve_kernel("auto") == "vector"
+    assert vk.resolve_kernel("vector") == "vector"
+    with pytest.raises(ValueError, match="scalar kernel tier was removed"):
+        vk.resolve_kernel("mask")
     with pytest.raises(ValueError):
         vk.resolve_kernel("gpu")
-    # REPRO_NO_NUMPY disables the vector tier without erroring anywhere.
-    monkeypatch.setenv("REPRO_NO_NUMPY", "1")
-    assert not vk.vector_ready()
-    assert vk.resolve_kernel("auto") == "mask"
-    assert vk.resolve_kernel("vector") == "mask"
+    assert vk.get_numpy() is numpy
 
 
-def test_vector_request_computes_identically_without_numpy(monkeypatch):
-    """An explicit ``kernel="vector"`` must degrade, not fail, sans numpy."""
-    problem = random_problem(7)
-    expected = compute_speedup(problem, kernel="mask").to_dict()
-    monkeypatch.setenv("REPRO_NO_NUMPY", "1")
-    degraded = compute_speedup(problem, kernel="vector")
-    assert degraded.kernel_stats is not None
-    assert degraded.kernel_stats.kernel == "mask"
-    assert degraded.to_dict() == expected
+def test_engine_config_rejects_the_removed_mask_tier():
+    with pytest.raises(ValueError, match="scalar kernel tier was removed"):
+        EngineConfig(kernel="mask")
+    with pytest.raises(ValueError):
+        EngineConfig(kernel="gpu")
+
+
+def test_kernel_vector_and_default_derive_identically():
+    problem = catalog()["4-coloring"](2)
+    default = Engine(EngineConfig(cache=False)).speedup(problem)
+    pinned = Engine(EngineConfig(cache=False, kernel="vector")).speedup(problem)
+    assert result_json(pinned) == result_json(default)
+
+
+def test_kernel_stats_stay_out_of_the_payload():
+    result = compute_speedup(random_problem(7))
+    assert result.kernel_stats is not None
+    assert "kernel" not in result.kernel_stats.to_dict()
+    assert "kernel" not in result.to_dict()
 
 
 # -- packing ------------------------------------------------------------------
 
 
-@needs_numpy
 @pytest.mark.parametrize("bit_count", [1, 7, 63, 64, 65, 128, 130, 200])
 def test_pack_unpack_roundtrip(bit_count):
     rng = random.Random(bit_count)
@@ -160,39 +132,37 @@ def random_poset(seed: int) -> tuple[int, list[int], list[int]]:
     return count, up, comparable
 
 
-@needs_numpy
 @pytest.mark.parametrize("seed", range(40))
-def test_enumerate_filters_vector_matches_scalar(seed):
+def test_enumerate_filters_matches_brute_force(seed):
+    """Exactly the non-empty up-closed subsets, each once."""
     count, up, comparable = random_poset(seed)
-    scalar = _enumerate_filters(count, up, comparable, 1 << 20)
-    batched = vk.enumerate_filters_vector(count, up, comparable, 1 << 20)
-    assert sorted(batched) == sorted(scalar)
-    assert len(batched) == len(scalar)  # no duplicates on either side
+    expected = [
+        subset
+        for subset in range(1, 1 << count)
+        if all(up[i] & ~subset == 0 for i in range(count) if subset >> i & 1)
+    ]
+    filters = _enumerate_filters(count, up, comparable, 1 << 20)
+    assert sorted(filters) == expected
 
 
-@needs_numpy
-def test_enumerate_filters_vector_multi_word_chain():
-    """A 70-element chain packs antichains/filters into two-word rows."""
+def test_enumerate_filters_multi_word_chain():
+    """A 70-element chain: its filters are exactly the 70 up-sets."""
     count = 70
     up = [0] * count
     for i in range(count - 1, -1, -1):
         up[i] = (1 << i) | (up[i + 1] if i + 1 < count else 0)
     comparable = [(1 << count) - 1] * count
-    batched = vk.enumerate_filters_vector(count, up, comparable, 1 << 20)
-    assert sorted(batched) == sorted(up)  # chain: filters are the up-sets
+    assert sorted(_enumerate_filters(count, up, comparable, 1 << 20)) == sorted(up)
 
 
-@needs_numpy
-def test_enumerate_filters_vector_trips_like_scalar():
+def test_enumerate_filters_trips_one_past_the_limit():
     count, up, comparable = random_poset(3)
     total = len(_enumerate_filters(count, up, comparable, 1 << 20))
     limit = total - 1
-    with pytest.raises(EngineLimitError) as scalar_trip:
+    with pytest.raises(EngineLimitError) as trip:
         _enumerate_filters(count, up, comparable, limit)
-    with pytest.raises(EngineLimitError) as vector_trip:
-        vk.enumerate_filters_vector(count, up, comparable, limit)
-    assert vector_trip.value.limit_name == scalar_trip.value.limit_name
-    assert vector_trip.value.observed == scalar_trip.value.observed == limit + 1
+    assert trip.value.limit_name == "max_derived_labels"
+    assert trip.value.observed == limit + 1
 
 
 # -- streaming domination frontier --------------------------------------------
@@ -210,45 +180,165 @@ def random_configs(seed: int, bit_count: int) -> tuple[int, list[tuple[int, ...]
     return delta, sorted(configs)
 
 
-@needs_numpy
+def maximal_antichain(configs: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
+    """The reference survivors, by the string path's domination filter."""
+
+    def as_sets(config: tuple[int, ...]) -> tuple[frozenset[int], ...]:
+        return tuple(
+            frozenset(bit for bit in range(mask.bit_length()) if mask >> bit & 1)
+            for mask in config
+        )
+
+    by_sets = {as_sets(config): config for config in configs}
+    return sorted(by_sets[kept] for kept in _legacy._discard_dominated(list(by_sets)))
+
+
 @pytest.mark.parametrize("bit_count", [10, 70])
 @pytest.mark.parametrize("seed", range(15))
-def test_vector_frontier_matches_reference_filter(seed, bit_count):
-    """Frontier survivors == the one-shot reference filter == the scalar
-    frontier, independent of insertion order (unique maximal antichain)."""
-    delta, configs = random_configs(seed, bit_count)
-    reference = sorted(_discard_dominated(list(configs)))
+def test_frontier_keeps_the_unique_maximal_antichain(seed, bit_count):
+    """Survivors are the maximal antichain, whatever the insertion order."""
+    _, configs = random_configs(seed, bit_count)
+    reference = maximal_antichain(configs)
+    rng = random.Random(seed)
+    for _ in range(4):
+        order = list(configs)
+        rng.shuffle(order)
+        frontier = _MaskFrontier(1 << 20)
+        for config in order:
+            frontier.insert(config)
+        assert frontier.survivors() == reference
+        assert frontier.peak >= len(reference)
 
-    np_ = vk.get_numpy()
-    for order in (configs, list(reversed(configs))):
-        vector = vk.VectorFrontier(np_, bit_count, delta, 1 << 20, _config_dominates)
-        vector.insert_chunk(order)
-        assert vector.survivors() == reference
-        scalar = _MaskFrontier(1 << 20)
-        scalar.insert_chunk(order)
-        assert scalar.survivors() == reference
 
-
-@needs_numpy
-def test_frontier_live_cap_trips_identically():
+def test_frontier_live_cap_trips_one_past_the_cap():
     # An antichain of singletons: nothing dominates anything, so the live
     # frontier grows one per insertion and the cap fires on insertion 4.
-    configs = [(1 << i,) for i in range(8)]
-    np_ = vk.get_numpy()
-    vector = vk.VectorFrontier(np_, 8, 1, 3, _config_dominates)
-    with pytest.raises(EngineLimitError) as vector_trip:
-        vector.insert_chunk(configs)
-    scalar = _MaskFrontier(3)
-    with pytest.raises(EngineLimitError) as scalar_trip:
-        scalar.insert_chunk(configs)
-    for trip in (vector_trip.value, scalar_trip.value):
-        assert trip.limit_name == "max_live_configs"
-        assert trip.limit == 3
-        assert trip.observed == 4
-    assert str(vector_trip.value) == str(scalar_trip.value)
+    frontier = _MaskFrontier(3)
+    with pytest.raises(EngineLimitError) as trip:
+        for i in range(8):
+            frontier.insert((1 << i,))
+    assert trip.value.limit_name == "max_live_configs"
+    assert trip.value.limit == 3
+    assert trip.value.observed == 4
 
 
-# -- end-to-end differential --------------------------------------------------
+# -- end to end against the string path ------------------------------------------
+
+
+@pytest.mark.parametrize("at_most_one_a", [True, False])
+def test_scalar_completion_loop_above_delta_16(at_most_one_a):
+    """``delta > 16`` is beyond ``AllowsTable``'s ``uint16`` positions, so the
+    prefix completions take the scalar matching loop.  With exactly one
+    ``a`` per node, some candidate last labels fail the matching."""
+    delta = 17
+    nodes = [("a",) + ("b",) * (delta - 1)]
+    if at_most_one_a:
+        nodes.append(("b",) * delta)
+    problem = Problem.make(
+        "one-a-17", delta, [("a", "b"), ("b", "b")], nodes, labels=["a", "b"]
+    )
+    result = compute_speedup(problem)
+    assert result.kernel_stats is not None
+    assert result.kernel_stats.matching_calls > 0
+    assert result_json(result) == result_json(_legacy.compute_speedup(problem))
+
+
+def test_derivation_past_the_word_boundary_matches_legacy():
+    """70 nested closed sets: the half alphabet spills materialisation's
+    packed partner rows into two ``uint64`` words."""
+    labels = [f"y{i:02d}" for i in range(70)]
+    edges = [
+        (labels[i], labels[j]) for i in range(70) for j in range(i, 70) if i + j < 70
+    ]
+    problem = Problem.make(
+        "threshold70", 1, edges, [(label,) for label in labels], labels=labels
+    )
+    result = compute_speedup(problem)
+    assert len(result.half.labels) == 70
+    assert result_json(result) == result_json(_legacy.compute_speedup(problem))
+
+
+def test_wide_alphabet_matches_legacy():
+    labels = [f"y{i:02d}" for i in range(70)]
+    pairs = list(multisets_of_size(labels, 2))
+    wide = Problem.make(
+        "wide70", 1, pairs, [(label,) for label in labels], labels=labels
+    )
+    assert result_json(compute_speedup(wide)) == result_json(
+        _legacy.compute_speedup(wide)
+    )
+
+
+#: Limit trips under tight limits, recorded from the two-tier implementation
+#: (where the scalar and numpy tiers agreed on every one): ``(limit_name,
+#: observed)`` per tripping case; ``None`` means the derivation completes.
+TIGHT_TRIPS_4_COLORING = {
+    "max_derived_labels": (10, ("max_derived_labels", 11)),
+    "max_candidate_configs": (3, ("max_candidate_configs", 105)),
+    "max_live_configs": (1, ("max_live_configs", 2)),
+}
+TIGHT_TRIPS_RANDOM = {
+    # seed: (outcome at max_derived_labels=6, at max_candidate_configs=2)
+    0: (None, ("max_candidate_configs", 4)),
+    10: (None, None),
+    20: (None, ("max_candidate_configs", 6)),
+    30: (("max_derived_labels", 7), ("max_candidate_configs", 10)),
+    40: (None, ("max_candidate_configs", 3)),
+    50: (None, ("max_candidate_configs", 10)),
+    60: (None, ("max_candidate_configs", 6)),
+    70: (None, ("max_candidate_configs", 4)),
+    80: (None, ("max_candidate_configs", 3)),
+    90: (("max_derived_labels", 7), ("max_candidate_configs", 36)),
+    100: (("max_derived_labels", 7), ("max_candidate_configs", 6)),
+    110: (None, ("max_candidate_configs", 3)),
+    120: (None, None),
+    130: (None, ("max_candidate_configs", 10)),
+    140: (None, None),
+    150: (None, ("max_candidate_configs", 3)),
+    160: (("max_derived_labels", 7), ("max_candidate_configs", 6)),
+    170: (None, ("max_candidate_configs", 10)),
+    180: (None, None),
+    190: (None, None),
+}
+
+
+def assert_trip(problem: Problem, expected, **limits) -> None:
+    """Trip exactly as recorded, or complete identically to the string path."""
+    if expected is None:
+        assert result_json(compute_speedup(problem, **limits)) == result_json(
+            _legacy.compute_speedup(problem)
+        )
+        return
+    with pytest.raises(EngineLimitError) as trip:
+        compute_speedup(problem, **limits)
+    assert (trip.value.limit_name, trip.value.observed) == expected
+    assert trip.value.limit == limits[trip.value.limit_name]
+
+
+def test_trips_under_tight_limits_match_the_record():
+    problem = catalog()["4-coloring"](2)
+    for name, (limit, expected) in TIGHT_TRIPS_4_COLORING.items():
+        assert_trip(problem, expected, **{name: limit})
+    for seed, (by_labels, by_configs) in TIGHT_TRIPS_RANDOM.items():
+        assert_trip(random_problem(seed), by_labels, max_derived_labels=6)
+        assert_trip(random_problem(seed), by_configs, max_candidate_configs=2)
+
+
+def test_trip_on_a_164_label_alphabet_matches_the_record():
+    derived = compute_speedup(catalog()["4-coloring"](2)).full
+    assert len(derived.labels) == 164
+    with pytest.raises(EngineLimitError) as trip:
+        compute_speedup(derived, max_derived_labels=300)
+    assert trip.value.limit_name == "max_derived_labels"
+    assert trip.value.observed == 301
+    assert str(trip.value) == "half step enumerated more than 300 usable Galois-closed sets"
+
+
+# -- bit-layout independence -----------------------------------------------------
+
+#: Catalog instances too slow to derive twice in tier-1 (weak/superweak
+#: stream millions of completions; 5/6-coloring are minute-scale).
+HEAVY = {"5-coloring", "6-coloring", "weak-3-coloring", "superweak-3-coloring"}
 
 
 def _catalog_instances():
@@ -262,54 +352,36 @@ def _catalog_instances():
                 continue
 
 
-@needs_numpy
+def assert_layout_independent(problem: Problem) -> None:
+    """Reversing the labels' sorted order reverses every packed row's bit
+    order; the derivation must stay isomorphic, or trip identically."""
+    ordered = sorted(problem.labels)
+    mapping = {label: f"r{len(ordered) - i:03d}" for i, label in enumerate(ordered)}
+    mirrored = problem.renamed(mapping, name="mirrored")
+    try:
+        result = compute_speedup(problem)
+    except EngineLimitError as error:
+        with pytest.raises(EngineLimitError) as mirrored_error:
+            compute_speedup(mirrored)
+        assert mirrored_error.value.limit_name == error.limit_name
+        assert mirrored_error.value.observed == error.observed
+        return
+    twin = compute_speedup(mirrored)
+    # Not ``canonical_hash``: past its permutation budget it falls back to
+    # a name-exact key, which a renaming changes by design.
+    assert are_isomorphic(twin.half, result.half)
+    assert are_isomorphic(twin.full, result.full)
+
+
 @pytest.mark.parametrize(
     "name,problem",
     [pytest.param(name, problem, id=f"{name}-d{problem.delta}")
      for name, problem in _catalog_instances()],
 )
-def test_vector_matches_mask_on_catalog(name, problem):
-    assert_kernels_agree(problem)
+def test_catalog_derivation_ignores_bit_layout(name, problem):
+    assert_layout_independent(problem)
 
 
-@needs_numpy
-@pytest.mark.parametrize("seed", range(SEED_COUNT))
-def test_vector_matches_mask_on_random_problem(seed):
-    assert_kernels_agree(random_problem(seed))
-
-
-@needs_numpy
-def test_vector_matches_mask_under_tight_limits():
-    """Guard-trip parity: whichever limit fires, it fires identically."""
-    problem = catalog()["4-coloring"](2)
-    assert_kernels_agree(problem, max_derived_labels=10)
-    assert_kernels_agree(problem, max_candidate_configs=3)
-    assert_kernels_agree(problem, max_live_configs=1)
-    for seed in range(0, SEED_COUNT, 10):
-        assert_kernels_agree(random_problem(seed), max_derived_labels=6)
-        assert_kernels_agree(random_problem(seed), max_candidate_configs=2)
-
-
-@needs_numpy
-def test_vector_matches_mask_past_the_word_boundary():
-    """Multi-word rows: a 70-label alphabet end to end, and the 164-label
-    closure of 4-coloring's derived problem (trip parity under a tight
-    limit keeps the second derivation tier-1 cheap)."""
-    labels = [f"y{i:02d}" for i in range(70)]
-    pairs = list(multisets_of_size(labels, 2))
-    wide = Problem.make("wide70", 1, pairs, [(label,) for label in labels],
-                        labels=labels)
-    assert_kernels_agree(wide)
-
-    derived = compute_speedup(catalog()["4-coloring"](2), kernel="mask").full
-    assert len(derived.labels) == 164  # past two words of packed closure
-    assert_kernels_agree(derived, max_derived_labels=300)
-
-
-@needs_numpy
-@pytest.mark.parametrize("chunk", [1, 3, 64, 1 << 20])
-def test_stream_chunk_never_changes_results(chunk):
-    """Chunking batches packing, never semantics: byte-identical JSON."""
-    for problem in (catalog()["4-coloring"](2), random_problem(11)):
-        expected = result_json(problem, "vector")
-        assert result_json(problem, "vector", stream_chunk=chunk) == expected
+@pytest.mark.parametrize("seed", range(200))
+def test_random_derivation_ignores_bit_layout(seed):
+    assert_layout_independent(random_problem(seed))

@@ -34,17 +34,17 @@ NAME_SURFACE_CALLS: frozenset[str] = frozenset(
     {"label_set", "members", "config", "set_label_name", "mask_name"}
 )
 
-#: Modules whose hot folds have a batched vector equivalent in
-#: ``repro.core.vectorkernel``.  Per-candidate matching calls inside loops
-#: here should go through the batched kernel instead; the scalar paths that
-#: legitimately remain (memoised fallbacks, the mask-tier completion walk)
-#: carry explicit ``allow[unbatched-matching]`` markers.
+#: Modules holding the derivation's hot folds.  Per-candidate matching calls
+#: inside loops here should go through the batched ``AllowsTable`` in
+#: ``repro.core.vectorkernel`` instead; the scalar paths that legitimately
+#: remain (memoised lookups, the ``delta > 16`` completion walk) carry
+#: explicit ``allow[unbatched-matching]`` markers.
 VECTORIZED_MODULES: frozenset[str] = frozenset({"speedup.py", "galois.py"})
 
 #: Per-candidate matching entry points covered by the unbatched-matching
 #: rule: the Hall-condition feasibility test and the full-membership oracle
 #: built on it.  (``extendable`` prefix pruning is exempt: the backtracking
-#: walk is prefix-shaped in both kernel tiers.)
+#: walk is prefix-shaped, one memoised query per prefix.)
 MATCHING_CALLS: frozenset[str] = frozenset({"mask_matching_exists", "allows"})
 
 #: Modules allowed to construct ``Problem(...)`` directly: the class's own

@@ -1,18 +1,18 @@
 """Batched-kernel hygiene: no per-candidate matching calls inside loops.
 
-``repro.core.vectorkernel`` batch-evaluates the hot folds -- Galois
-closure, Hall-condition feasibility (``mask_matching_exists``), and the
-filter enumeration's membership oracle -- over whole candidate blocks at
-once.  Inside the modules that have those batched equivalents
+``repro.core.vectorkernel`` batch-evaluates the prefix-completion matching
+(Hall-condition feasibility, ``AllowsTable``) for every candidate last
+label at once.  Inside the modules that hold the derivation's hot folds
 (:data:`tools.relint.config.VECTORIZED_MODULES`), calling the scalar
-entry points per candidate *inside a loop* quietly reintroduces the
-O(candidates) Python-level fold the kernel exists to remove.
+entry points (``mask_matching_exists``, the ``allows`` membership oracle)
+per candidate *inside a loop* quietly reintroduces the O(candidates)
+Python-level fold the batched table exists to remove.
 
-The scalar paths that legitimately remain -- memoised fallbacks whose
-cache makes the per-call cost amortised-constant, and the mask-tier
-completion walk that *is* the non-numpy fallback -- carry explicit
-``# relint: allow[unbatched-matching]`` markers, which doubles as an
-inventory of exactly where the scalar tier survives.
+The scalar paths that legitimately remain -- memoised lookups whose cache
+makes the per-call cost amortised-constant, and the completion walk for
+``delta > 16`` that ``AllowsTable``'s ``uint16`` positions cannot hold --
+carry explicit ``# relint: allow[unbatched-matching]`` markers, which
+doubles as an inventory of exactly where scalar matching survives.
 """
 
 from __future__ import annotations
