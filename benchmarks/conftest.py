@@ -5,8 +5,9 @@ derivations use ``pedantic`` with a single round) and stashes the
 reproduction verdict in ``benchmark.extra_info`` so the benchmark report
 doubles as the experiment log recorded in EXPERIMENTS.md.
 
-Machine-readable perf tracking lives in ``run_speedup_bench.py`` (not a
-pytest bench): it writes ``BENCH_speedup.json`` with per-problem cold/warm
-kernel timings and kernel-vs-legacy ratios, and CI uploads the quick-mode
-report as an artifact on every run.
+Machine-readable perf tracking lives in the repository benchmark,
+``perfbench/run.py`` (declared by ``BENCHMARK.json``): its workloads time
+cold derivations, classify runs and warm cache hits, and CI uploads a short
+run of each as an artifact.  ``BENCH_perfbench.json`` holds the committed
+baseline.
 """

@@ -428,9 +428,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--backend",
             choices=EXECUTOR_NAMES,
-            help="execution backend for batch fan-out: serial, thread "
-            "(default; or set REPRO_EXECUTOR), or process (true parallelism "
-            "for CPU-heavy batches)",
+            help="execution backend for batch fan-out: serial (default; or "
+            "set REPRO_EXECUTOR), thread, or process (true parallelism for "
+            "CPU-heavy batches)",
         )
         p.add_argument(
             "--workers",

@@ -35,7 +35,7 @@ is load-bearing: a tuple of indices in non-decreasing order converts to a
 canonically sorted name tuple, and lexicographic comparison of index tuples
 equals lexicographic comparison of sorted name lists, which is how the kernel
 reproduces the legacy string path's deterministic orderings bit for bit (see
-``core/_legacy.py`` and the differential tests).
+the test-only oracle ``tests/_legacy.py`` and the differential tests).
 """
 
 from __future__ import annotations

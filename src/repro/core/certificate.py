@@ -159,10 +159,14 @@ def _structured_form(result: SpeedupResult) -> Problem:
     return result.full.renamed(rename, name="structured")
 
 
-def _check_speedup_provenance(
-    index: int, recorded: SpeedupResult, fresh: SpeedupResult
+def _check_speedup_step(
+    index: int,
+    step: CertificateStep,
+    current: Problem,
+    max_derived_labels: int,
+    max_candidate_configs: int,
 ) -> list[str]:
-    """Compare a recorded speedup step against the fresh re-derivation.
+    """Re-derive a speedup step (uncached) and compare it with the recorded one.
 
     The half step and its meanings must match *exactly* (the derivation is
     deterministic and cache translation reproduces the very same names); the
@@ -171,6 +175,23 @@ def _check_speedup_provenance(
     constraints, meanings, and the pairing between them -- is pinned, so a
     certificate cannot smuggle in a forged derivation or forged provenance.
     """
+    recorded = step.speedup
+    assert recorded is not None
+    if recorded.original != current:
+        return [
+            f"step {index}: speedup does not apply to the chain's "
+            f"current problem ({recorded.original.name!r} vs "
+            f"{current.name!r})"
+        ]
+    try:
+        fresh = compute_speedup(
+            current,
+            simplify=recorded.simplified,
+            max_derived_labels=max_derived_labels,
+            max_candidate_configs=max_candidate_configs,
+        )
+    except EngineLimitError as exc:
+        return [f"step {index}: could not re-derive: {exc}"]
     failures: list[str] = []
     if recorded.half != fresh.half or dict(recorded.half_meaning) != dict(
         fresh.half_meaning
@@ -195,6 +216,28 @@ def _check_speedup_provenance(
         failures.append(
             f"step {index}: re-derived speedup result does not match the "
             f"certified problem"
+        )
+    return failures
+
+
+def _check_link(
+    index: int, step: CertificateStep, source: Problem, direction: str
+) -> list[str]:
+    """A relaxed/hardened link must certify in ``direction`` and name both ends."""
+    certificate = step.relaxation
+    assert certificate is not None
+    failures: list[str] = []
+    if certificate.direction != direction:
+        failures.append(
+            f"step {index}: a {certificate.direction!r} certificate "
+            f"cannot justify a {step.kind} step"
+        )
+    target = step.problem
+    if (certificate.source_name, certificate.target_name) != (source.name, target.name):
+        failures.append(
+            f"step {index}: certificate endpoints ({certificate.source_name!r} -> "
+            f"{certificate.target_name!r}) do not name the chain's problems "
+            f"({source.name!r} -> {target.name!r})"
         )
     return failures
 
@@ -294,27 +337,11 @@ class LowerBoundCertificate:
         current = self.initial
         for index, step in enumerate(self.steps):
             if step.kind == SPEEDUP:
-                assert step.speedup is not None
-                if step.speedup.original != current:
-                    failures.append(
-                        f"step {index}: speedup does not apply to the chain's "
-                        f"current problem ({step.speedup.original.name!r} vs "
-                        f"{current.name!r})"
+                failures.extend(
+                    _check_speedup_step(
+                        index, step, current, max_derived_labels, max_candidate_configs
                     )
-                else:
-                    try:
-                        fresh = compute_speedup(
-                            current,
-                            simplify=step.speedup.simplified,
-                            max_derived_labels=max_derived_labels,
-                            max_candidate_configs=max_candidate_configs,
-                        )
-                    except EngineLimitError as exc:
-                        failures.append(f"step {index}: could not re-derive: {exc}")
-                    else:
-                        failures.extend(
-                            _check_speedup_provenance(index, step.speedup, fresh)
-                        )
+                )
             elif step.kind == HARDENING:
                 # A restriction can make the problem strictly harder; it can
                 # never justify "no harder", regardless of what direction the
@@ -324,23 +351,9 @@ class LowerBoundCertificate:
                     f"lower-bound chain"
                 )
             else:
-                assert step.relaxation is not None
+                failures.extend(_check_link(index, step, current, RELAXES))
                 certificate = step.relaxation
-                if certificate.direction != RELAXES:
-                    failures.append(
-                        f"step {index}: a {certificate.direction!r} certificate "
-                        f"cannot justify a relaxation step"
-                    )
-                if (
-                    certificate.source_name != current.name
-                    or certificate.target_name != step.problem.name
-                ):
-                    failures.append(
-                        f"step {index}: certificate endpoints "
-                        f"({certificate.source_name!r} -> "
-                        f"{certificate.target_name!r}) do not name the chain's "
-                        f"problems ({current.name!r} -> {step.problem.name!r})"
-                    )
+                assert certificate is not None
                 if not is_relaxation_map(current, step.problem, certificate.mapping):
                     failures.append(
                         f"step {index}: label map does not certify "
@@ -538,45 +551,15 @@ class UpperBoundCertificate:
         current = self.initial
         for index, step in enumerate(self.steps):
             if step.kind == SPEEDUP:
-                assert step.speedup is not None
-                if step.speedup.original != current:
-                    failures.append(
-                        f"step {index}: speedup does not apply to the chain's "
-                        f"current problem ({step.speedup.original.name!r} vs "
-                        f"{current.name!r})"
+                failures.extend(
+                    _check_speedup_step(
+                        index, step, current, max_derived_labels, max_candidate_configs
                     )
-                else:
-                    try:
-                        fresh = compute_speedup(
-                            current,
-                            simplify=step.speedup.simplified,
-                            max_derived_labels=max_derived_labels,
-                            max_candidate_configs=max_candidate_configs,
-                        )
-                    except EngineLimitError as exc:
-                        failures.append(f"step {index}: could not re-derive: {exc}")
-                    else:
-                        failures.extend(
-                            _check_speedup_provenance(index, step.speedup, fresh)
-                        )
+                )
             else:
-                assert step.relaxation is not None
+                failures.extend(_check_link(index, step, current, HARDENS))
                 certificate = step.relaxation
-                if certificate.direction != HARDENS:
-                    failures.append(
-                        f"step {index}: a {certificate.direction!r} certificate "
-                        f"cannot justify a hardening step"
-                    )
-                if (
-                    certificate.source_name != current.name
-                    or certificate.target_name != step.problem.name
-                ):
-                    failures.append(
-                        f"step {index}: certificate endpoints "
-                        f"({certificate.source_name!r} -> "
-                        f"{certificate.target_name!r}) do not name the chain's "
-                        f"problems ({current.name!r} -> {step.problem.name!r})"
-                    )
+                assert certificate is not None
                 if dict(certificate.mapping) != {
                     label: label for label in step.problem.labels
                 }:

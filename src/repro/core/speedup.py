@@ -34,9 +34,9 @@ string path's a-priori semantics (the grid bound doubles as a guard on the
 size of the problem the step would materialise), so the kernel is equivalent
 to the legacy path *including* its ``EngineLimitError`` behavior; within the
 guards it is orders of magnitude faster.  The string surface -- problems,
-meanings, derived label names -- is unchanged; ``core/_legacy.py`` preserves
-the original frozenset path and the differential tests assert exact result
-equality.
+meanings, derived label names -- is unchanged; the test-only oracle
+``tests/_legacy.py`` preserves the original frozenset path and the
+differential tests assert exact result equality.
 
 Both the simplified (Theorem 2) and the literal unsimplified (Theorem 1)
 derivations are provided; the latter blows up quickly and is intended for

@@ -75,8 +75,8 @@ class KernelStats:
 
     Attached to :class:`repro.core.speedup.SpeedupResult` out-of-band (via
     the instance ``__dict__``, never serialized into ``to_dict`` -- the JSON
-    payload stays byte-deterministic) and surfaced as benchmark columns by
-    ``benchmarks/run_speedup_bench.py``.
+    payload stays byte-deterministic) and read as the ``fold.*`` per-layer
+    metrics by the repository benchmark's tracer (``perfbench/tracer.py``).
 
     The phases partition the derivation: ``closed_sets_s`` is the half
     step's Galois closed-set fixed point, ``enumeration_s`` the
@@ -96,7 +96,7 @@ class KernelStats:
     frontier_peak: int = 0
 
     def to_dict(self) -> dict[str, object]:
-        """JSON-ready form (benchmark rows; not part of result payloads)."""
+        """JSON-ready form (diagnostics; not part of result payloads)."""
         return {
             "closed_sets_s": round(self.closed_sets_s, 6),
             "enumeration_s": round(self.enumeration_s, 6),

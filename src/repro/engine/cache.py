@@ -160,12 +160,13 @@ def _translate(
 class SpeedupCache:
     """Thread-safe LRU memo cache for speedup derivations.
 
-    ``lookup`` returns ``(result, form, key)`` -- the translated result on a
-    hit, else ``None`` plus the canonical form and key to pass back to
-    ``store`` after computing (so canonicalisation runs once per call).
-    ``acquire`` is the single-flight variant the engine's hot path uses: a
-    ``None`` result makes the caller the key's leader, obliged to call
-    ``store`` (on success) or ``abandon`` (on failure) so waiters wake.
+    ``acquire`` (the engine's single-flight hot path) and ``probe`` (batch
+    dispatchers, which account misses themselves) return ``(result, form,
+    key)`` -- the translated result on a hit, else ``None`` plus the
+    canonical form and key to pass back to ``store`` after computing (so
+    canonicalisation runs once per call).  A ``None`` from ``acquire`` makes
+    the caller the key's leader, obliged to call ``store`` (on success) or
+    ``abandon`` (on failure) so waiters wake.
     """
 
     def __init__(
@@ -249,7 +250,7 @@ class SpeedupCache:
     def probe(
         self, problem: Problem, simplify: bool
     ) -> tuple[SpeedupResult | None, CanonicalForm, str]:
-        """Like ``lookup`` but without miss accounting (hits still count).
+        """Look ``problem`` up without miss accounting (hits still count).
 
         Batch dispatchers resolve misses through a worker pool themselves
         and account them via :meth:`note_dispatched_miss` /
@@ -276,21 +277,12 @@ class SpeedupCache:
             entry = self._load(key)
         return entry
 
-    def lookup(
-        self, problem: Problem, simplify: bool
-    ) -> tuple[SpeedupResult | None, CanonicalForm, str]:
-        result, form, key = self.probe(problem, simplify)
-        if result is None:
-            with self._lock:
-                self.misses += 1
-        return result, form, key
-
     def acquire(
         self, problem: Problem, simplify: bool
     ) -> tuple[SpeedupResult | None, CanonicalForm, str]:
         """Single-flight lookup: miss means *this caller derives*.
 
-        On a hit, behaves like :meth:`lookup`.  On a miss with no derivation
+        On a hit, behaves like :meth:`probe`.  On a miss with no derivation
         of the key in flight, registers the caller as the key's leader
         (counted as the one true miss) and returns ``None`` -- the caller
         MUST then call :meth:`store` on success or :meth:`abandon` on

@@ -24,13 +24,15 @@ EXECUTOR_NAMES: tuple[str, ...] = ("serial", "thread", "process")
 
 
 def _default_executor() -> str:
-    """The default backend: ``REPRO_EXECUTOR`` when set, else ``thread``.
+    """The default backend: ``REPRO_EXECUTOR`` when set, else ``serial``.
 
-    The environment hook exists so whole test matrices (CI runs every
-    backend over the engine suites) and deployments can switch backends
-    without threading a flag through every construction site.
+    The derivations are GIL-bound pure Python, so threads add dispatch cost
+    without adding compute.  The environment hook exists so whole test
+    matrices (CI runs every backend over the engine suites) and deployments
+    can switch backends without threading a flag through every construction
+    site.
     """
-    return os.environ.get("REPRO_EXECUTOR", "thread")
+    return os.environ.get("REPRO_EXECUTOR", "serial")
 
 
 def _default_fault_plan() -> str | None:
@@ -121,7 +123,7 @@ class EngineConfig:
         pickles to workers and merges the returned results into this
         engine's content-addressed cache and 0-round memo -- true
         parallelism for CPU-heavy batches).  The default honors the
-        ``REPRO_EXECUTOR`` environment variable, else ``"thread"``.
+        ``REPRO_EXECUTOR`` environment variable, else ``"serial"``.
     retry_policy:
         Fault-tolerance policy of the batch APIs
         (:class:`repro.engine.resilience.RetryPolicy`): bounded retries

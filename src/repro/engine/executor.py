@@ -4,9 +4,10 @@
 ``Engine.run_many``, and the beam searches' expansions (both directions,
 :mod:`repro.search.beam`) distribute their per-item work:
 
-* ``"serial"`` -- an in-order loop, no pool.  The reference semantics every
-  other backend is differentially tested against, and the fastest choice for
-  tiny batches (pool startup costs more than the work).
+* ``"serial"`` -- an in-order loop, no pool; the default when
+  ``REPRO_EXECUTOR`` is unset.  The reference semantics every other backend
+  is differentially tested against, and the fastest choice for tiny batches
+  (pool startup costs more than the work) and for GIL-bound searches.
 * ``"thread"`` -- a ``ThreadPoolExecutor`` sharing the engine's caches
   in-memory.  The derivations are CPU-bound pure Python, so the GIL
   serialises the compute; threads still win when most items resolve to
@@ -23,18 +24,19 @@
   True parallelism for CPU-heavy batches, at the price of pickling and of
   workers not seeing entries the parent learns mid-batch.
 
-The dispatch is task-shaped, not method-shaped: the three frozen task types
-(:class:`SpeedupTask`, :class:`RunTask`, :class:`ExpandTask`) are the unit
-of shipping, and :func:`execute_task` maps any of them onto any engine --
-the same function runs in the parent (serial/thread backends) and inside
-workers (process backend), which is what makes the backends differentially
-comparable.
+The dispatch is task-shaped, not method-shaped: the four frozen task types
+(:class:`SpeedupTask`, :class:`RunTask`, :class:`ExpandTask`,
+:class:`ChaseTask`) are the unit of shipping, and :func:`execute_task` maps
+any of them onto any engine -- the same function runs in the parent
+(serial/thread backends) and inside workers (process backend), which is
+what makes the backends differentially comparable.
 
 Every batch is metered (:class:`BatchStats`): wall clock, summed per-task
 compute, and the parent-side serial components -- canonical hashing, cache
 lock waits, coalesce waits, result-merge time -- whose ratio to wall clock
-is the measured Amdahl serial fraction the ``--backend`` rows of
-``benchmarks/run_speedup_bench.py`` publish.
+is the measured Amdahl serial fraction, read per batch from
+``Engine.last_batch_stats()`` and reported by the repository benchmark as
+``executor.serial_fraction``.
 """
 
 from __future__ import annotations

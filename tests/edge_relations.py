@@ -3,7 +3,7 @@
 The full step emits a derived problem's edge constraint as an
 :class:`~repro.core.problem.EdgeRelation` (one adjacency mask per label).
 :func:`legacy_edge_relation` rebuilds the same relation with the string
-path's predicate from :mod:`repro.core._legacy`, and
+path's predicate from the test-only oracle :mod:`_legacy`, and
 :func:`assert_behaves_as` holds a relation to ``frozenset`` semantics.
 """
 
@@ -13,7 +13,7 @@ import json
 
 import pytest
 
-from repro.core import _legacy
+import _legacy
 from repro.core.alphabet import intern
 from repro.core.problem import EdgeConfig, EdgeRelation, Problem
 from repro.core.speedup import SpeedupResult

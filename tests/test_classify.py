@@ -92,6 +92,7 @@ def test_unbounded_lower_skips_chase(engine):
     assert bracket.min_rounds is None and bracket.max_rounds is None
     assert bracket.verdict == "tight"
     assert bracket.describe() == "[Omega(log n)] tight"
+    assert bracket.verify().valid
     assert "chase skipped" in result.summary()
 
 

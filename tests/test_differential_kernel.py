@@ -1,6 +1,6 @@
 """Differential tests: the bitmask kernel against the frozen string path.
 
-``repro.core._legacy`` preserves the pre-kernel ``frozenset[str]``
+``tests/_legacy.py`` preserves the pre-kernel ``frozenset[str]``
 implementations verbatim.  These tests run both sides over the full catalog
 and hundreds of seeded random problems and assert *exact* equality of the
 results -- not just isomorphism: the kernel is required to reproduce the
@@ -19,7 +19,7 @@ import random
 import pytest
 
 from edge_relations import assert_behaves_as, legacy_edge_relation
-from repro.core import _legacy
+import _legacy
 from repro.core.canonical import canonical_form, canonical_hash
 from repro.core.diagram import merge_equivalent_labels
 from repro.core.problem import Problem

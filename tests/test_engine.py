@@ -5,6 +5,7 @@ import pytest
 from repro.core.isomorphism import are_isomorphic
 from repro.core.speedup import EngineLimitError, compute_speedup
 from repro.engine import Engine, EngineConfig, SpeedupCache, canonical_hash
+from repro.problems.catalog import get_problem
 from repro.problems.misc import mis
 from repro.problems.sinkless import sinkless_coloring
 
@@ -61,6 +62,14 @@ def test_derived_label_limit_reports_observed_count(mis_d3):
     # limit (mis has 3 usable sets among its initial generators).
     assert error.observed == 3
     assert "usable Galois-closed" in str(error)
+
+
+def test_six_coloring_trips_the_derived_label_cap_under_default_caps():
+    with pytest.raises(EngineLimitError) as excinfo:
+        Engine().speedup(get_problem("6-coloring", 2))
+    error = excinfo.value
+    assert error.limit_name == "max_derived_labels"
+    assert error.observed > error.limit == EngineConfig().max_derived_labels
 
 
 def test_filter_enumeration_guard_still_fires(mis_d3):

@@ -52,9 +52,9 @@ def test_executor_name_validated():
 
 
 def test_executor_env_default(monkeypatch):
-    monkeypatch.setenv("REPRO_EXECUTOR", "serial")
-    assert EngineConfig().executor == "serial"
     monkeypatch.delenv("REPRO_EXECUTOR", raising=False)
+    assert EngineConfig().executor == "serial"
+    monkeypatch.setenv("REPRO_EXECUTOR", "thread")
     assert EngineConfig().executor == "thread"
 
 

@@ -1,5 +1,7 @@
 """The README/quickstart API surface works as documented."""
 
+import pkgutil
+
 import repro
 
 
@@ -39,3 +41,9 @@ def test_layer_exports():
     for module in (repro.analysis, repro.sim, repro.superweak):
         for name in module.__all__:
             assert hasattr(module, name), f"{module.__name__}.{name}"
+
+
+def test_string_oracle_is_not_shipped():
+    """The frozen string path is a test-only oracle (``tests/_legacy.py``)."""
+    shipped = pkgutil.walk_packages(repro.__path__, prefix="repro.")
+    assert not [m.name for m in shipped if m.name.rsplit(".", 1)[-1] == "_legacy"]

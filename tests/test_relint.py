@@ -89,9 +89,9 @@ def test_bad_fixtures_flag_only_their_own_rule() -> None:
 
 
 def test_virtual_path_directive_scopes_rules() -> None:
-    source = "# relint: path=src/repro/search/x.py\nimport repro.core._legacy\n"
+    source = "# relint: path=src/repro/search/x.py\nimport _legacy\n"
     assert not lint_source(source, "scratch.py", ALL_RULES) == []
-    outside = "# relint: path=examples/x.py\nimport repro.core._legacy\n"
+    outside = "# relint: path=examples/x.py\nimport _legacy\n"
     assert lint_source(outside, "scratch.py", ALL_RULES) == []
 
 

@@ -170,7 +170,7 @@ def test_half_step_keeps_colliding_set_names_distinct():
     assert frozenset({"a", "b"}) in half.meaning.values()
     assert frozenset({"a,b"}) in half.meaning.values()
 
-    from repro.core import _legacy
+    import _legacy
 
     legacy_half = _legacy.half_step(problem)
     assert len(legacy_half.meaning) == 1  # the collision being fixed
@@ -238,7 +238,7 @@ def test_legacy_grid_guard_still_refuses_5_coloring():
     predicts the full candidate grid and refuses in milliseconds -- the
     differential suite relies on that asymmetry being exactly here.
     """
-    from repro.core import _legacy
+    import _legacy
     from repro.problems.coloring import coloring as coloring_problem
 
     five = coloring_problem(5, 2)

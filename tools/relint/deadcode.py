@@ -5,9 +5,7 @@ function, class, and method defined under the scanned source tree, then
 collect every identifier *used* anywhere in the reference trees (Name
 loads, attribute accesses, ``__all__`` strings, and plain string constants
 -- the CLI dispatches subcommands by string).  A definition whose name
-never occurs as a use is reported.  ``core/_legacy.py`` is excluded by
-design: it is the frozen differential anchor and stays even if production
-code never imports it.
+never occurs as a use is reported.
 
 This is a *report*, not a gate: dynamic dispatch and re-exports make
 false positives unavoidable, so CI runs it with ``continue-on-error``.
@@ -27,15 +25,11 @@ from typing import Iterable, Sequence
 
 from tools.relint.engine import iter_python_files
 
-_EXCLUDED_FILES = {"_legacy.py"}
-
 
 def _definitions(paths: Iterable[str | Path]) -> list[tuple[str, str, int]]:
     """(name, path, line) for every def/class under ``paths``."""
     defs: list[tuple[str, str, int]] = []
     for path in iter_python_files(paths):
-        if path.name in _EXCLUDED_FILES:
-            continue
         tree = ast.parse(path.read_text(), filename=str(path))
         for node in ast.walk(tree):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
