@@ -58,24 +58,6 @@ class LandscapeRow:
     classification: str | None = None
     classify_verdict: str | None = None
 
-    def as_tuple(self) -> tuple:
-        return (
-            self.name,
-            self.delta,
-            self.labels,
-            self.zero_round_plain,
-            self.zero_round_oriented,
-            self.derived_labels,
-            self.derived_node_configs,
-            self.derived_zero_round_oriented,
-            self.fixed_point,
-            self.blew_up,
-            self.search_bound,
-            self.search_unbounded,
-            self.classification,
-            self.classify_verdict,
-        )
-
 
 def _run_search(
     problem: Problem, engine: "Engine", search_steps: int

@@ -111,22 +111,12 @@ def _read_problem(path: str | None, *, allow_demo: bool = False) -> tuple[Proble
 
 
 def _resolve_max_candidate_configs(args: argparse.Namespace, defaults: EngineConfig) -> int:
-    """``--max-candidate-configs``, honoring the deprecated ``--max-configs``.
+    """``--max-candidate-configs``, else the subcommand's or engine's default.
 
-    Resolution order: the canonical spelling, then the deprecated alias
-    (with a warning), then the subcommand's tighter default (the search
-    command fails fast), then the engine default.
+    The search commands fail fast, so they set a tighter default than the
+    engine's.
     """
     value = getattr(args, "max_candidate_configs", None)
-    legacy = getattr(args, "max_configs", None)
-    if legacy is not None:
-        print(
-            "warning: --max-configs is deprecated; use --max-candidate-configs "
-            "(it matches EngineConfig.max_candidate_configs)",
-            file=sys.stderr,
-        )
-        if value is None:
-            value = legacy
     if value is None:
         value = getattr(args, "default_max_candidate_configs", None)
     return value if value is not None else defaults.max_candidate_configs
@@ -477,11 +467,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="candidate-configuration work guard "
         "(matches EngineConfig.max_candidate_configs)",
     )
-    p_speedup.add_argument(
-        "--max-configs",
-        type=int,
-        help=argparse.SUPPRESS,  # deprecated alias for --max-candidate-configs
-    )
     p_speedup.add_argument("--cache-dir", help="persistent JSON cache directory")
     add_live_limit(p_speedup)
     add_backend(p_speedup)
@@ -547,11 +532,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         help="candidate-configuration work guard (default 500000; matches "
         "EngineConfig.max_candidate_configs)",
-    )
-    p_search.add_argument(
-        "--max-configs",
-        type=int,
-        help=argparse.SUPPRESS,  # deprecated alias for --max-candidate-configs
     )
     p_search.set_defaults(default_max_candidate_configs=500_000)
     p_search.add_argument("--cache-dir", help="persistent JSON cache directory")
@@ -640,11 +620,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         help="candidate-configuration work guard (default 500000; matches "
         "EngineConfig.max_candidate_configs)",
-    )
-    p_classify.add_argument(
-        "--max-configs",
-        type=int,
-        help=argparse.SUPPRESS,  # deprecated alias for --max-candidate-configs
     )
     p_classify.set_defaults(default_max_candidate_configs=500_000)
     p_classify.add_argument("--cache-dir", help="persistent JSON cache directory")

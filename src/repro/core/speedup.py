@@ -180,11 +180,15 @@ class SpeedupResult:
     def kernel_stats(self) -> KernelStats | None:
         """Per-fold timing counters for the derivation that built this result.
 
-        Present only on freshly computed results (attached out-of-band via
-        the instance ``__dict__`` by :func:`full_step`); ``None`` on results
-        rebuilt from JSON, unpickled, or returned from a cache.  Wall-clock
-        numbers deliberately stay out of ``to_dict`` / equality / pickles so
-        the result payload remains byte-deterministic.
+        Attached out-of-band via the instance ``__dict__`` by
+        :func:`full_step`, so present on freshly computed results.
+        :meth:`repro.engine.Engine.speedup` copies them onto the stored
+        object, so an in-memory cache hit on the identical problem returns
+        that object and its stats; a renamed-twin hit (a translated copy), an
+        entry loaded from a cache directory, :meth:`from_dict` and
+        unpickling give ``None``.  Wall-clock numbers deliberately stay out
+        of ``to_dict`` / equality / pickles so the result payload remains
+        byte-deterministic.
         """
         return self.__dict__.get("_kernel_stats")
 

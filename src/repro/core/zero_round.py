@@ -43,15 +43,13 @@ from __future__ import annotations
 from collections.abc import Mapping
 from typing import Any
 
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass
 from pathlib import Path
 
 from repro.core.alphabet import InternedProblem, intern, iter_bits
 from repro.core.galois import Compatibility
 from repro.core.problem import NodeConfig, Problem
-from repro.utils.jsonio import atomic_write_json, load_json, sweep_stale_tmp_files
+from repro.utils.jsonio import JsonStore
 from repro.utils.multiset import multiset_difference, submultisets_of_size
 
 
@@ -448,11 +446,12 @@ class ZeroRoundMemo:
     and -- through the engine, which owns one instance next to its speedup
     cache -- worker threads.
 
-    The memo is thread-safe and bounded (LRU over ``maxsize`` entries;
-    verdicts are single booleans, so no weight accounting is needed).  With
-    a ``directory`` every stored verdict is also written as one tiny JSON
-    file named by the key, and in-memory misses consult the directory before
-    recomputing -- the same persistence contract as the speedup cache:
+    Storage is the shared :class:`repro.utils.jsonio.JsonStore`
+    (:attr:`entries`), the same one under the speedup cache: thread-safe, an
+    LRU over ``maxsize`` entries (verdicts are single booleans, so no weight
+    bound), and with a ``directory`` one tiny JSON file per verdict that
+    in-memory misses consult before recomputing.  The memo trusts a file
+    only when it holds a real bool filed under the requested key, so
     corrupt, truncated, or type-mangled entries behave exactly like absent
     ones and get overwritten by the recomputation's store.
     """
@@ -460,19 +459,12 @@ class ZeroRoundMemo:
     def __init__(self, maxsize: int = 4096, directory: str | Path | None = None):
         if maxsize < 1:
             raise ValueError("maxsize must be positive")
-        self._lock = threading.Lock()
-        self._memory: OrderedDict[str, bool] = OrderedDict()
-        self._maxsize = maxsize
-        self._directory = Path(directory) if directory is not None else None
-        if self._directory is not None:
-            self._directory.mkdir(parents=True, exist_ok=True)
-            # Reclaim temp files abandoned by crashed writers; temp names
-            # never collide with entry names, so they are pure garbage here.
-            sweep_stale_tmp_files(self._directory)
+        self.entries: JsonStore[bool] = JsonStore(
+            "solvable", bool, self._decode, maxsize=maxsize, directory=directory
+        )
+        self._lock = self.entries.lock
         self.hits = 0
         self.misses = 0
-        self.store_failures = 0
-        self._recorded: list[tuple[str, bool]] | None = None
 
     @staticmethod
     def key_from_hash(problem_hash: str, orientations: bool) -> str:
@@ -486,51 +478,31 @@ class ZeroRoundMemo:
 
         return ZeroRoundMemo.key_from_hash(canonical_hash(problem), orientations)
 
-    def _path_for(self, key: str) -> Path:
-        assert self._directory is not None
-        return self._directory / (key.replace(":", "_") + ".json")
+    @staticmethod
+    def _decode(key: str, envelope: dict[str, Any]) -> bool | None:
+        """A genuine bool verdict filed under ``key``, else None (a miss).
+
+        A mangled or collided file must degrade to a miss, never to a wrong
+        verdict for the requesting problem.
+        """
+        solvable = envelope.get("solvable")
+        if not isinstance(solvable, bool) or envelope.get("key") != key:
+            return None
+        return solvable
 
     def lookup(self, key: str) -> bool | None:
         """The stored verdict, or None on a miss (counted)."""
+        verdict = self.entries.get(key)
         with self._lock:
-            verdict = self._memory.get(key)
-            if verdict is not None:
-                self._memory.move_to_end(key)
+            if verdict is None:
+                self.misses += 1
+            else:
                 self.hits += 1
-                return verdict
-        if self._directory is not None:
-            verdict = self._load(key)
-            if verdict is not None:
-                with self._lock:
-                    self.hits += 1
-                return verdict
-        with self._lock:
-            self.misses += 1
-        return None
-
-    def _remember(self, key: str, solvable: bool) -> None:
-        """Insert into the LRU table (newest position), evicting beyond bounds."""
-        with self._lock:
-            self._memory.pop(key, None)
-            self._memory[key] = solvable
-            if self._recorded is not None:
-                self._recorded.append((key, solvable))
-            while len(self._memory) > self._maxsize:
-                self._memory.popitem(last=False)
+        return verdict
 
     def store(self, key: str, solvable: bool) -> None:
-        self._remember(key, bool(solvable))
-        if self._directory is not None:
-            # Best-effort by contract: a full disk or interrupted rename
-            # leaves the prior entry intact and is counted, never raised
-            # into the derivation path.
-            ok = atomic_write_json(
-                self._path_for(key),
-                {"version": 1, "key": key, "solvable": bool(solvable)},
-            )
-            if not ok:
-                with self._lock:
-                    self.store_failures += 1
+        self.entries.put(key, bool(solvable))
+        self.entries.persist(key, bool(solvable))
 
     def merge(self, key: str, solvable: bool) -> None:
         """Adopt a verdict decided elsewhere (a worker process).
@@ -539,25 +511,7 @@ class ZeroRoundMemo:
         configured the worker shares it and has already persisted the
         verdict.
         """
-        self._remember(key, bool(solvable))
-
-    def start_recording(self) -> None:
-        """Capture every subsequent insert as a mergeable delta.
-
-        Worker processes enable this so the parent can merge their verdicts
-        back (:meth:`drain_recorded` / :meth:`merge`).
-        """
-        with self._lock:
-            self._recorded = []
-
-    def drain_recorded(self) -> tuple[tuple[str, bool], ...]:
-        """Return and reset the recorded inserts (empty when not recording)."""
-        with self._lock:
-            if self._recorded is None:
-                return ()
-            drained = tuple(self._recorded)
-            self._recorded = []
-            return drained
+        self.entries.put(key, bool(solvable))
 
     def check(
         self, problem: Problem, orientations: bool = True, *, key: str | None = None
@@ -576,35 +530,17 @@ class ZeroRoundMemo:
             self.store(key, verdict)
         return verdict
 
-    def _load(self, key: str) -> bool | None:
-        """Load one on-disk verdict; any corruption means a plain miss.
-
-        The payload must be a dict whose ``solvable`` is a genuine bool and
-        whose recorded ``key`` matches the requested one (a mangled or
-        collided file must degrade to a miss, never to a wrong verdict for
-        the requesting problem).
-        """
-        payload = load_json(self._path_for(key))
-        if not isinstance(payload, dict):
-            return None
-        solvable = payload.get("solvable")
-        if not isinstance(solvable, bool) or payload.get("key") != key:
-            return None
-        self._remember(key, solvable)
-        return solvable
-
     def clear(self) -> None:
         with self._lock:
-            self._memory.clear()
+            self.entries.clear()
             self.hits = 0
             self.misses = 0
-            self.store_failures = 0
 
     def stats(self) -> dict[str, int]:
         with self._lock:
             return {
                 "hits": self.hits,
                 "misses": self.misses,
-                "entries": len(self._memory),
-                "store_failures": self.store_failures,
+                "entries": len(self.entries),
+                "store_failures": self.entries.store_failures,
             }

@@ -13,10 +13,12 @@ alphabet, which are kept as stored).
 The cache is thread-safe (the batch APIs share it across a worker pool) and
 optionally persistent: with a ``directory``, every stored entry is written as
 one JSON file named by the key's digest, and misses consult the directory
-before recomputing, so warm starts survive process boundaries.  Opening a
-persistent cache sweeps temp files abandoned by crashed writers
-(:func:`repro.utils.jsonio.sweep_stale_tmp_files`); temp names never collide
-with entry names, so leaked temps are never loadable as entries.
+before recomputing, so warm starts survive process boundaries.  The LRU, the
+files, temp-file sweeping, ``store_failures`` and delta recording are the
+shared :class:`repro.utils.jsonio.JsonStore` (:attr:`SpeedupCache.entries`);
+this module adds the canonical keys, hit translation, freezing, the
+single-flight latches and the meters, and decodes a file only when its
+stored original re-keys to the requested key.
 
 Concurrent misses on one canonical key are *single-flighted*: the first
 caller of :meth:`SpeedupCache.acquire` becomes the key's leader and
@@ -39,8 +41,8 @@ For the Amdahl accounting the process-pool backend needs
 (:mod:`repro.engine.executor`), the cache meters its serial components:
 time spent canonicalising requests, waiting for the cache lock, and waiting
 on in-flight latches (:meth:`SpeedupCache.concurrency_stats`).  Worker
-processes run with :meth:`start_recording` enabled so every store is
-captured as a ``(key, form, result)`` delta the parent merges back with
+processes record on :attr:`SpeedupCache.entries`, so every insert is
+captured as a ``(key, CacheEntry)`` delta the parent merges back with
 :meth:`merge`.
 """
 
@@ -49,16 +51,16 @@ from __future__ import annotations
 import dataclasses
 import threading
 import time
-from collections import OrderedDict
 from pathlib import Path
 from types import MappingProxyType
+from typing import Any, NamedTuple
 
 from repro.core.alphabet import set_label_name
 from repro.core.canonical import CanonicalForm, canonical_form
 from repro.core.problem import Problem
 from repro.core.speedup import SpeedupResult
 from repro.engine.resilience import LATCH_PROBE_S
-from repro.utils.jsonio import atomic_write_json, load_json, sweep_stale_tmp_files
+from repro.utils.jsonio import JsonStore
 
 
 class _InFlight:
@@ -77,21 +79,24 @@ class _InFlight:
         self.leader = threading.current_thread()
 
 
-class CacheEntry:
+class CacheEntry(NamedTuple):
     """One stored derivation plus the canonical form it was keyed under."""
 
-    __slots__ = ("form", "result", "weight")
+    form: CanonicalForm
+    result: SpeedupResult
 
-    def __init__(self, form: CanonicalForm, result: SpeedupResult):
-        self.form = form
-        self.result = result
-        # Approximate footprint: the description sizes of the three problems
-        # dominate the meaning dicts; used by the weight-aware LRU bound.
-        self.weight = (
-            result.original.description_size
-            + result.half.description_size
-            + result.full.description_size
-        )
+
+def _weight(entry: CacheEntry) -> int:
+    """Approximate footprint for the weight-aware LRU bound.
+
+    The description sizes of the three problems dominate the meaning dicts.
+    """
+    result = entry.result
+    return (
+        result.original.description_size
+        + result.half.description_size
+        + result.full.description_size
+    )
 
 
 def _freeze(result: SpeedupResult) -> SpeedupResult:
@@ -175,55 +180,26 @@ class SpeedupCache:
         directory: str | Path | None = None,
         max_weight: int | None = 5_000_000,
     ):
-        self._lock = threading.RLock()
-        self._memory: OrderedDict[str, CacheEntry] = OrderedDict()
-        self._maxsize = maxsize
-        self._max_weight = max_weight
-        self._total_weight = 0
-        self._directory = Path(directory) if directory is not None else None
-        if self._directory is not None:
-            self._directory.mkdir(parents=True, exist_ok=True)
-            # Reclaim temp files a crashed writer left behind; live writes
-            # (young files of running pids) are never touched, and temp
-            # names can never be loaded as entries.
-            sweep_stale_tmp_files(self._directory)
+        # Weight-bounded too: derived problems can be enormous, so counting
+        # entries alone could pin gigabytes.
+        self.entries: JsonStore[CacheEntry] = JsonStore(
+            "result",
+            lambda entry: entry.result.to_dict(),
+            self._decode,
+            maxsize=maxsize,
+            directory=directory,
+            weight=_weight,
+            max_weight=max_weight,
+        )
+        self._lock = self.entries.lock
         self.hits = 0
         self.misses = 0
         self.coalesced = 0
-        self.store_failures = 0
         self.latch_recoveries = 0
         self._inflight: dict[str, _InFlight] = {}
-        self._recorded: list[tuple[str, CanonicalForm, SpeedupResult]] | None = None
         self._canonical_s = 0.0
         self._lock_wait_s = 0.0
         self._coalesce_wait_s = 0.0
-
-    def _insert(self, key: str, entry: CacheEntry) -> None:
-        """Insert under the lock, evicting LRU entries beyond the bounds.
-
-        Bounds are entry count *and* aggregate description weight (derived
-        problems can be enormous, so counting entries alone could pin
-        gigabytes).  The newest entry always survives, even when it alone
-        exceeds the weight bound -- evicting it immediately would make the
-        most expensive derivations the only uncached ones.
-        """
-        with self._lock:
-            old = self._memory.pop(key, None)
-            if old is not None:
-                self._total_weight -= old.weight
-            self._memory[key] = entry
-            self._total_weight += entry.weight
-            if self._recorded is not None:
-                self._recorded.append((key, entry.form, entry.result))
-            while len(self._memory) > 1 and (
-                len(self._memory) > self._maxsize
-                or (
-                    self._max_weight is not None
-                    and self._total_weight > self._max_weight
-                )
-            ):
-                _, evicted = self._memory.popitem(last=False)
-                self._total_weight -= evicted.weight
 
     # -- keying --------------------------------------------------------------
 
@@ -231,10 +207,25 @@ class SpeedupCache:
     def _key(form: CanonicalForm, simplify: bool) -> str:
         return ("simplified:" if simplify else "raw:") + form.key
 
-    def _path_for(self, key: str) -> Path:
-        assert self._directory is not None
-        # Keys embed sha256 digests already; flatten the prefix into the name.
-        return self._directory / (key.replace(":", "_") + ".json")
+    @staticmethod
+    def _decode(key: str, envelope: dict[str, Any]) -> CacheEntry | None:
+        """Rebuild one on-disk entry; any corruption means a plain miss.
+
+        The exception net is deliberately wide: ``ValueError`` covers
+        ``ProblemError``, ``TypeError``/``KeyError``/``AttributeError``
+        cover payloads whose shape lies (e.g. a list for a meaning dict).
+        """
+        try:
+            result = SpeedupResult.from_dict(envelope["result"])
+        except (KeyError, TypeError, ValueError, AttributeError):
+            return None
+        form = canonical_form(result.original)
+        # A structurally valid result for the *wrong* problem (a mangled or
+        # collided file) would crash the renaming translation downstream;
+        # re-keying the stored original catches it here and degrades to a miss.
+        if SpeedupCache._key(form, key.startswith("simplified:")) != key:
+            return None
+        return CacheEntry(form, _freeze(result))
 
     # -- public API ----------------------------------------------------------
 
@@ -258,24 +249,12 @@ class SpeedupCache:
         miss counter a sequential run would report.
         """
         form, key = self._canonicalize(problem, simplify)
-        entry = self._entry_for(key)
+        entry = self.entries.get(key)
         if entry is None:
             return None, form, key
         with self._lock:
             self.hits += 1
         return _translate(entry, problem, form, simplify), form, key
-
-    def _entry_for(self, key: str) -> CacheEntry | None:
-        """The live entry for ``key`` from memory or disk, without stats."""
-        start = time.perf_counter()
-        with self._lock:
-            self._lock_wait_s += time.perf_counter() - start
-            entry = self._memory.get(key)
-            if entry is not None:
-                self._memory.move_to_end(key)
-        if entry is None and self._directory is not None:
-            entry = self._load(key)
-        return entry
 
     def acquire(
         self, problem: Problem, simplify: bool
@@ -300,7 +279,7 @@ class SpeedupCache:
         """
         form, key = self._canonicalize(problem, simplify)
         while True:
-            entry = self._entry_for(key)
+            entry = self.entries.get(key)
             wait_on: _InFlight | None = None
             start = time.perf_counter()
             with self._lock:
@@ -354,17 +333,14 @@ class SpeedupCache:
     def store(
         self, key: str, form: CanonicalForm, result: SpeedupResult
     ) -> SpeedupResult:
-        """Store a freshly computed result; returns the frozen shared copy.
+        """Store a freshly computed result: :meth:`merge`, then write its file.
 
-        Also releases the key's in-flight latch when the caller held one
-        (``store`` doubles as the leader's success path), so waiters
+        Returns the frozen shared copy.  Merging releases the key's in-flight
+        latch (``store`` doubles as the leader's success path), so waiters
         coalesced on :meth:`acquire` wake into a hit.
         """
-        frozen = _freeze(result)
-        self._insert(key, CacheEntry(form, frozen))
-        self._release(key)
-        if self._directory is not None:
-            self._dump(key, result)
+        frozen = self.merge(key, form, result)
+        self.entries.persist(key, CacheEntry(form, frozen))
         return frozen
 
     def merge(self, key: str, form: CanonicalForm, result: SpeedupResult) -> SpeedupResult:
@@ -376,10 +352,10 @@ class SpeedupCache:
         in-flight latch on the key, so thread-side waiters coalesce onto
         merged process results too.
         """
-        frozen = _freeze(result)
-        self._insert(key, CacheEntry(form, frozen))
+        entry = CacheEntry(form, _freeze(result))
+        self.entries.put(key, entry)
         self._release(key)
-        return frozen
+        return entry.result
 
     def note_dispatched_miss(self) -> None:
         """Count a miss resolved by dispatching to an external worker."""
@@ -393,12 +369,10 @@ class SpeedupCache:
 
     def clear(self) -> None:
         with self._lock:
-            self._memory.clear()
-            self._total_weight = 0
+            self.entries.clear()
             self.hits = 0
             self.misses = 0
             self.coalesced = 0
-            self.store_failures = 0
             self.latch_recoveries = 0
             self._canonical_s = 0.0
             self._lock_wait_s = 0.0
@@ -409,8 +383,8 @@ class SpeedupCache:
             return {
                 "hits": self.hits,
                 "misses": self.misses,
-                "entries": len(self._memory),
-                "store_failures": self.store_failures,
+                "entries": len(self.entries),
+                "store_failures": self.entries.store_failures,
             }
 
     def concurrency_stats(self) -> dict[str, float]:
@@ -430,68 +404,3 @@ class SpeedupCache:
                 "lock_wait_s": self._lock_wait_s,
                 "coalesce_wait_s": self._coalesce_wait_s,
             }
-
-    # -- worker-delta recording ----------------------------------------------
-
-    def start_recording(self) -> None:
-        """Capture every subsequent insert as a mergeable delta.
-
-        Worker processes enable this so the parent can merge their stores
-        back (:meth:`drain_recorded` / :meth:`merge`); disk loads recorded
-        along the way merge harmlessly (idempotent inserts).
-        """
-        with self._lock:
-            self._recorded = []
-
-    def drain_recorded(self) -> tuple[tuple[str, CanonicalForm, SpeedupResult], ...]:
-        """Return and reset the recorded inserts (empty when not recording)."""
-        with self._lock:
-            if self._recorded is None:
-                return ()
-            drained = tuple(self._recorded)
-            self._recorded = []
-            return drained
-
-    # -- persistence ---------------------------------------------------------
-
-    def _load(self, key: str) -> CacheEntry | None:
-        """Load one on-disk entry; any corruption means a plain miss.
-
-        Truncated writes, emptied files, non-JSON bytes, and
-        structurally-wrong payloads (wrong JSON types anywhere in the nested
-        result) must all behave exactly like an absent entry -- the caller
-        recomputes and ``store`` overwrites the bad file -- so the exception
-        net below is deliberately wide: ``ValueError`` covers JSON/Unicode
-        decoding and ``ProblemError``, ``TypeError``/``KeyError``/
-        ``AttributeError`` cover payloads whose shape lies (e.g. a list
-        where the meaning dict should be).
-        """
-        payload = load_json(self._path_for(key))
-        if not isinstance(payload, dict):
-            return None
-        try:
-            result = SpeedupResult.from_dict(payload["result"])
-        except (KeyError, TypeError, ValueError, AttributeError):
-            return None
-        form = canonical_form(result.original)
-        # A structurally valid result for the *wrong* problem (a mangled or
-        # collided file) would crash the renaming translation downstream;
-        # re-keying the stored original catches it here and degrades to a miss.
-        if self._key(form, key.startswith("simplified:")) != key:
-            return None
-        entry = CacheEntry(form, _freeze(result))
-        self._insert(key, entry)
-        return entry
-
-    def _dump(self, key: str, result: SpeedupResult) -> None:
-        # A read-only or full cache directory must never fail a derivation:
-        # atomic_write_json is best-effort by contract, leaves any prior
-        # entry file intact on failure, and reports the failure so it can
-        # be counted instead of silently vanishing.
-        ok = atomic_write_json(
-            self._path_for(key),
-            {"version": 1, "key": key, "result": result.to_dict()},
-        )
-        if not ok:
-            with self._lock:
-                self.store_failures += 1

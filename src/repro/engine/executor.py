@@ -9,18 +9,27 @@
   is differentially tested against, and the fastest choice for tiny batches
   (pool startup costs more than the work) and for GIL-bound searches.
 * ``"thread"`` -- a ``ThreadPoolExecutor`` sharing the engine's caches
-  in-memory.  The derivations are CPU-bound pure Python, so the GIL
-  serialises the compute; threads still win when most items resolve to
-  cache hits or coalesce onto one derivation (single-flight, see
-  :meth:`repro.engine.cache.SpeedupCache.acquire`).
+  in-memory, with concurrent misses on one key coalesced onto a single
+  derivation (single-flight, see
+  :meth:`repro.engine.cache.SpeedupCache.acquire`).  The derivations are
+  CPU-bound, so the GIL serialises the compute, and threads measure as a
+  tie with serial.  On a 2-vCPU host with ``max_workers=2``, alternating
+  pairs: a cold ``speedup_many`` over the eleven problems of perfbench's
+  ``derive-cold`` took a median 0.161 s serial against 0.157 s threaded
+  (threads won 4 of 8 pairs); 32 warm renamed-twin hits 0.0073 s against
+  0.0070 s (4 of 8); a batch of 5-coloring, weak-3-coloring,
+  superweak-3-coloring and 4-coloring at delta 2 went to threads in 7 of
+  14 pairs, with medians over the last 10 of 1.30 s serial against 1.35 s
+  threaded.
 * ``"process"`` -- a ``ProcessPoolExecutor`` shipping pickled tasks to
   worker processes, each owning a private serial :class:`~repro.engine.
   engine.Engine` built from the parent's configuration -- including the
   streaming limits, so every worker derives with the same caps as the
   parent would.  Workers record
   every speedup-cache insert and 0-round-memo verdict as deltas
-  (:meth:`~repro.engine.cache.SpeedupCache.drain_recorded`); the parent
-  merges them back so its caches end a batch as warm as a serial run's.
+  (:meth:`~repro.utils.jsonio.JsonStore.drain_recorded` on each cache's
+  store); the parent merges them back so its caches end a batch as warm as
+  a serial run's.
   True parallelism for CPU-heavy batches, at the price of pickling and of
   workers not seeing entries the parent learns mid-batch.
 
@@ -46,8 +55,7 @@ import multiprocessing
 import time
 from concurrent.futures import Future, ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass
-from pathlib import Path
-from typing import TYPE_CHECKING, Union
+from typing import TYPE_CHECKING, Any, Union
 
 from repro.core.problem import Problem
 from repro.core.speedup import SpeedupResult
@@ -59,13 +67,14 @@ from repro.engine.resilience import (
     execute_with_retry,
     run_resilient_process_batch,
 )
-from repro.utils.jsonio import sweep_stale_tmp_files
+from repro.utils.jsonio import JsonStore, sweep_stale_tmp_files
 
 if TYPE_CHECKING:
     from multiprocessing.context import BaseContext
 
     from repro.core.canonical import CanonicalForm
     from repro.core.sequence import EliminationResult, Relaxer
+    from repro.engine.cache import CacheEntry
     from repro.engine.engine import Engine
     from repro.search.moves import RelaxationMove
 
@@ -208,7 +217,7 @@ class TaskResult:
     """A task's value plus the cache deltas a worker process accumulated."""
 
     value: object
-    cache_entries: tuple[tuple[str, "CanonicalForm", SpeedupResult], ...]
+    cache_entries: tuple[tuple[str, "CacheEntry"], ...]
     memo_entries: tuple[tuple[str, bool], ...]
     compute_s: float
 
@@ -324,9 +333,8 @@ def _initialize_worker(config: EngineConfig, start_queue: object = None) -> None
     from repro.engine.engine import Engine
 
     engine = Engine(config)
-    engine.cache.start_recording()
-    if engine.zero_round_memo is not None:
-        engine.zero_round_memo.start_recording()
+    for store in _stores(engine):
+        store.start_recording()
     _WORKER_ENGINE = engine
     _START_QUEUE = start_queue
     faultinject.mark_worker()
@@ -343,8 +351,8 @@ def _execute_in_worker(task: Task) -> TaskResult:
     memo = engine.zero_round_memo
     return TaskResult(
         value=value,
-        cache_entries=engine.cache.drain_recorded(),
-        memo_entries=memo.drain_recorded() if memo is not None else (),
+        cache_entries=engine.cache.entries.drain_recorded(),
+        memo_entries=memo.entries.drain_recorded() if memo is not None else (),
         compute_s=compute_s,
     )
 
@@ -375,20 +383,23 @@ def _process_context() -> "BaseContext | None":
         return None
 
 
+def _stores(engine: "Engine") -> list[JsonStore[Any]]:
+    """The engine's keyed stores: the speedup cache's, then the memo's."""
+    memo = engine.zero_round_memo
+    return [engine.cache.entries] + ([memo.entries] if memo is not None else [])
+
+
 def _sweep_cache_tmp_files(engine: "Engine") -> None:
-    """Reclaim temp files killed workers abandoned in the shared cache dirs.
+    """Reclaim temp files killed workers abandoned in the stores' directories.
 
     Called when a process batch dies (KeyboardInterrupt included): the
     dispatcher has already terminated the workers, so any temp file they
     were writing carries a dead pid and sweeps cleanly; live files from
     unrelated processes are untouched.
     """
-    cache_dir = engine.config.cache_dir
-    if cache_dir is None:
-        return
-    root = Path(cache_dir)
-    sweep_stale_tmp_files(root)
-    sweep_stale_tmp_files(root / "zero_round")
+    for store in _stores(engine):
+        if store.directory is not None:
+            sweep_stale_tmp_files(store.directory)
 
 
 def _run_process_pool(
@@ -432,9 +443,9 @@ def _run_process_pool(
         return pool.submit(_execute_in_worker_at, index, attempt, task)
 
     def run_local(index: int, task: object) -> object:
-        # The degraded (thread/serial) rung: execute on the parent engine,
-        # still under the retry policy, so the batch completes even when
-        # process pools cannot be built at all.
+        # The degraded path: execute serially on the parent engine, still
+        # under the retry policy, so the batch completes even when process
+        # pools cannot be built at all.
         assert isinstance(task, (SpeedupTask, RunTask, ExpandTask, ChaseTask))
         value, _elapsed = _timed_execute(engine, index, task, counters)
         return value
@@ -461,7 +472,7 @@ def _run_process_pool(
     compute_s = 0.0
     for slot in slots:
         if isinstance(slot, TaskResult):
-            for key, form, stored in slot.cache_entries:
+            for key, (form, stored) in slot.cache_entries:
                 engine.cache.merge(key, form, stored)
             if memo is not None:
                 for memo_key, solvable in slot.memo_entries:

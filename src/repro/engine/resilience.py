@@ -32,8 +32,8 @@ died, finished results included.  This module is the recovery layer under
   an innocent neighbour of a poison task is never quarantined for it.
   Hung tasks are detected against the policy deadline (always definitive)
   and the stuck workers reclaimed by terminating the pool; when pool
-  rebuilding itself keeps failing the batch *degrades*
-  ``process -> thread -> serial`` rather than dying.
+  rebuilding itself keeps failing the batch *degrades*: its remaining
+  tasks run one after another in the parent rather than the batch dying.
 
 This module is the one sanctioned home for broad infrastructure-exception
 handling (see the ``broad-fault-swallow`` relint rule): everywhere else a
@@ -93,8 +93,8 @@ class RetryPolicy:
         ``None`` disables deadlines.
     max_pool_rebuilds:
         Pool crashes plus deadline kills tolerated per batch before the
-        executor stops trusting process isolation and degrades the rest of
-        the batch down the ``process -> thread -> serial`` ladder.
+        executor stops trusting process isolation and runs the rest of the
+        batch serially in the parent.
     """
 
     max_retries: int = 2
@@ -300,8 +300,8 @@ def run_resilient_process_batch(
     policy deadline, and on each fault either retry the blamed task
     (transient, budget permitting), quarantine it (budget exhausted), or --
     when pool rebuilding itself keeps failing -- fall back to ``run_local``
-    for the remainder of the batch (the thread/serial rungs of the
-    degradation ladder, which ``run_local`` implements).
+    for the remainder of the batch, which runs each remaining task serially
+    in the parent (still under the retry policy).
     """
     total = len(tasks)
     attempts = [0] * total
@@ -344,7 +344,7 @@ def run_resilient_process_batch(
                     pool, queue = make_pool(workers)
                 except (OSError, RuntimeError):
                     # Cannot even build a pool (fork failures, fd/pid
-                    # exhaustion): process isolation is gone, use the ladder.
+                    # exhaustion): process isolation is gone, run in-parent.
                     pool = queue = None
                     degrade_to_local("pool construction failed")
                     break

@@ -34,10 +34,6 @@ from repro.superweak.tritseq import TritSeq, all_tritseqs
 TritSet = frozenset
 
 
-def canonical_set(seqs: Iterable[TritSeq]) -> frozenset[TritSeq]:
-    return frozenset(seqs)
-
-
 @dataclass(frozen=True)
 class CondensedConfig:
     """A node configuration stored as (set of trit sequences, multiplicity) pairs."""
@@ -68,9 +64,6 @@ class CondensedConfig:
 
     def as_mapping(self) -> dict[frozenset[TritSeq], int]:
         return {frozenset(key): value for key, value in self.counts}
-
-    def types(self) -> list[frozenset[TritSeq]]:
-        return [frozenset(key) for key, _ in self.counts]
 
     def replace_one(
         self, old: frozenset[TritSeq], new: frozenset[TritSeq]

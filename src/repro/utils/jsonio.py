@@ -1,4 +1,4 @@
-"""Robust JSON file I/O shared by the persistent caches.
+"""Robust JSON file I/O and the one keyed store behind the persistent caches.
 
 The engine's on-disk caches (speedup derivations, 0-round verdicts) share a
 directory across processes; a crashed writer, a full disk, or a concurrent
@@ -12,14 +12,16 @@ the three halves of the required contract:
   read-only or full cache directory never fails the computation being
   cached;
 * :func:`sweep_stale_tmp_files` reclaims the temp files a writer that died
-  between ``write_text`` and ``replace`` leaves behind.  The caches call it
+  between ``write_text`` and ``replace`` leaves behind.  A store calls it
   on open: temp files are named ``<entry>.tmp.<pid>.<tid>``, so one whose
   writing process no longer exists (or whose age exceeds the bound, against
   pid reuse and writers on other hosts) is garbage by construction.  Temp
   files never collide with the ``*.json`` names entries are loaded from, so
   a leaked temp file can occupy disk but can never be read back as an entry.
-"""
 
+:class:`JsonStore` is the one storage layer both caches build on, so the
+speedup cache and the 0-round memo keep only their domain logic.
+"""
 from __future__ import annotations
 
 import contextlib
@@ -27,8 +29,10 @@ import json
 import os
 import threading
 import time
+from collections import OrderedDict
 from collections.abc import Callable
 from pathlib import Path
+from typing import Any, Generic, TypeVar
 
 #: Infix separating an entry name from the writer's pid/tid in temp names.
 TMP_MARKER = ".tmp."
@@ -160,3 +164,119 @@ def sweep_stale_tmp_files(
         except OSError:
             continue  # read-only dir or concurrent unlink: leave it
     return removed
+
+
+V = TypeVar("V")
+
+
+class JsonStore(Generic[V]):
+    """A thread-safe LRU of string-keyed entries, optionally persisted as JSON.
+
+    Memory is bounded by ``maxsize`` entries and, with a ``weight`` function,
+    by ``max_weight`` total weight; the newest entry always survives, even
+    alone over the weight bound (evicting it would leave the most expensive
+    entries the only uncached ones).  A ``directory`` is created and swept
+    of stale temp files on open; :meth:`persist` then writes each entry to
+    ``<key with ":" as "_">.json`` as ``{"version": 1, "key": key, <field>:
+    encode(value)}``, best effort: a failed write keeps the prior file and
+    only counts ``store_failures``.  Memory misses of :meth:`get` hand the
+    file's envelope to the owner's ``decode(key, envelope)``, which returns
+    ``None`` for anything it does not trust, so broken files read as misses.
+    Owners share ``lock`` for their counters; after :meth:`start_recording`
+    every insert (disk loads included) is kept as a ``(key, value)`` delta.
+    """
+
+    def __init__(
+        self,
+        field: str,
+        encode: Callable[[V], object],
+        decode: Callable[[str, dict[str, Any]], V | None],
+        *,
+        maxsize: int,
+        directory: str | Path | None = None,
+        weight: Callable[[V], int] = lambda value: 0,
+        max_weight: int | None = None,
+    ):
+        self.lock = threading.RLock()
+        self._field = field
+        self._encode = encode
+        self._decode = decode
+        self._memory: OrderedDict[str, V] = OrderedDict()
+        self._maxsize = maxsize
+        self._weight = weight
+        self._max_weight = max_weight
+        self._total_weight = 0
+        self.directory = Path(directory) if directory is not None else None
+        if self.directory is not None:
+            self.directory.mkdir(parents=True, exist_ok=True)
+            sweep_stale_tmp_files(self.directory)
+        self.store_failures = 0
+        self._recorded: list[tuple[str, V]] | None = None
+
+    def __len__(self) -> int:
+        return len(self._memory)
+
+    def path_for(self, key: str) -> Path:
+        assert self.directory is not None
+        return self.directory / (key.replace(":", "_") + ".json")
+
+    def get(self, key: str) -> V | None:
+        """The entry for ``key`` from memory (refreshed) or disk, else None."""
+        with self.lock:
+            value = self._memory.get(key)
+            if value is not None:
+                self._memory.move_to_end(key)
+                return value
+        if self.directory is None:
+            return None
+        envelope = load_json(self.path_for(key))
+        value = self._decode(key, envelope) if isinstance(envelope, dict) else None
+        if value is not None:
+            self.put(key, value)
+        return value
+
+    def put(self, key: str, value: V) -> None:
+        """Insert in memory as the newest entry, evicting beyond the bounds."""
+        with self.lock:
+            old = self._memory.pop(key, None)
+            if old is not None:
+                self._total_weight -= self._weight(old)
+            self._memory[key] = value
+            self._total_weight += self._weight(value)
+            if self._recorded is not None:
+                self._recorded.append((key, value))
+            while len(self._memory) > 1 and (
+                len(self._memory) > self._maxsize
+                or (self._max_weight is not None and self._total_weight > self._max_weight)
+            ):
+                _, evicted = self._memory.popitem(last=False)
+                self._total_weight -= self._weight(evicted)
+
+    def persist(self, key: str, value: V) -> None:
+        """Write ``value``'s file when a directory is set, best effort."""
+        if self.directory is None:
+            return
+        envelope = {"version": 1, "key": key, self._field: self._encode(value)}
+        if not atomic_write_json(self.path_for(key), envelope):
+            with self.lock:
+                self.store_failures += 1
+
+    def clear(self) -> None:
+        """Drop the in-memory entries and the failure count (files stay)."""
+        with self.lock:
+            self._memory.clear()
+            self._total_weight = 0
+            self.store_failures = 0
+
+    def start_recording(self) -> None:
+        with self.lock:
+            self._recorded = []
+
+    def drain_recorded(self) -> tuple[tuple[str, V], ...]:
+        """Return and reset the recorded inserts (empty when not recording)."""
+        with self.lock:
+            if self._recorded is None:
+                return ()
+            drained = tuple(self._recorded)
+            self._recorded = []
+            return drained

@@ -89,8 +89,3 @@ def multiset_difference(big: Sequence[T], small: Sequence[T]) -> tuple[T, ...]:
     if any(count < 0 for count in remaining.values()):
         raise ValueError(f"{small!r} is not a sub-multiset of {big!r}")
     return tuple(sorted(remaining.elements()))
-
-
-def counter_to_multiset(counts: Counter) -> tuple:
-    """Expand a ``Counter`` into the canonical sorted-tuple multiset."""
-    return tuple(sorted(counts.elements()))

@@ -78,10 +78,6 @@ class Tower:
             raise OverflowError(f"{self} is too large to materialise")
         return norm.top
 
-    def is_materializable(self) -> bool:
-        """Return True iff :meth:`materialize` would succeed."""
-        return self.normalized().height == 0
-
     # -- arithmetic -------------------------------------------------------
 
     def exp2(self) -> "Tower":

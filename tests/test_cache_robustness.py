@@ -17,7 +17,7 @@ from repro.engine.cache import SpeedupCache
 
 def _entry_path(cache: SpeedupCache, problem, simplify=True):
     key = cache._key(canonical_form(problem), simplify)
-    return cache._path_for(key)
+    return cache.entries.path_for(key)
 
 
 def _warm_path(tmp_path, problem):

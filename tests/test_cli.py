@@ -146,6 +146,13 @@ def test_catalog_json():
     assert "mis" in payload
 
 
+@pytest.mark.parametrize("command", ["speedup", "search", "classify"])
+def test_removed_max_configs_alias_is_a_usage_error(command):
+    process = run_cli(command, "sinkless_orientation", "--max-configs", "5", check=False)
+    assert process.returncode == 2
+    assert "--max-configs" in process.stderr
+
+
 def test_catalog_unknown_family_fails_cleanly():
     process = run_cli("catalog", "--name", "nope", "--delta", "3", check=False)
     assert process.returncode == 2

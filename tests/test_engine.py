@@ -251,6 +251,26 @@ def test_shared_cache_object_between_engines(sc3):
     assert cache.stats()["hits"] == 1
 
 
+def test_kernel_stats_ride_only_on_the_derived_object(tmp_path, sc3):
+    import pickle
+
+    from repro.core.speedup import SpeedupResult
+
+    engine = Engine(EngineConfig(cache_dir=tmp_path))
+    cold = engine.speedup(sc3)
+    assert cold.kernel_stats is not None
+    # An identical in-memory hit returns the stored object, stats included.
+    assert engine.speedup(sc3).kernel_stats is cold.kernel_stats
+    # Every other route builds a new object, which carries no stats.
+    twin = engine.speedup(_renamed(sc3))
+    assert twin is not cold and twin.kernel_stats is None
+    fresh = Engine(EngineConfig(cache_dir=tmp_path))
+    loaded = fresh.speedup(sc3)
+    assert fresh.cache_stats()["hits"] == 1 and loaded.kernel_stats is None
+    assert SpeedupResult.from_dict(cold.to_dict()).kernel_stats is None
+    assert pickle.loads(pickle.dumps(cold)).kernel_stats is None
+
+
 # -- batch fan-out ------------------------------------------------------------
 
 
