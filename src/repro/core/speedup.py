@@ -26,10 +26,12 @@ Eliminator uses.
 Since PR 3 the whole derivation runs on the bitmask kernel
 (:mod:`repro.core.alphabet`): label sets are interned Python ints, subset
 tests are single ``&``/``~`` expressions, the filter poset is a pair of
-``up``/``down`` mask tables, realizability matchings run on per-configuration
-position masks, and candidate node configurations are *searched* -- a pruned
-DFS for the half step, and prefix-plus-maximal-completion for the simplified
-full step -- rather than exhaustively enumerated.  The size guards keep the
+``up``/``down`` mask tables, realizability is Hall's condition over
+per-configuration position masks, asked once per search node for every
+candidate next label (:class:`~repro.core.vectorkernel.AllowsTable`), and
+candidate node configurations are *searched* -- a pruned DFS for the half
+step, and prefix-plus-maximal-completion for the simplified full step --
+rather than exhaustively enumerated.  The size guards keep the
 string path's a-priori semantics (the grid bound doubles as a guard on the
 size of the problem the step would materialise), so the kernel is equivalent
 to the legacy path *including* its ``EngineLimitError`` behavior; within the
@@ -45,9 +47,10 @@ the small instances used by the executable Theorem 1 experiments.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Mapping, Sequence
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
-from itertools import chain, product
+from itertools import chain
+from operator import gt, lt
 from time import perf_counter
 from typing import Any
 
@@ -112,8 +115,10 @@ MAX_DERIVED_LABELS = 100_000
 MAX_CANDIDATE_CONFIGS = 8_000_000
 MAX_LIVE_CONFIGS = 1_000_000
 
-#: ``AllowsTable`` packs the positions of a node configuration into
-#: ``uint16``, so larger degrees complete prefixes with the scalar matching.
+#: ``AllowsTable`` checks Hall's condition over every subset of the slots
+#: already chosen, ``2**(delta - 1)`` of them at a full prefix, so larger
+#: degrees ask the scalar ``_MaskMembership`` oracle, whose augmenting-path
+#: matching is polynomial in ``delta``.
 _ALLOWS_TABLE_MAX_DELTA = 16
 
 
@@ -253,7 +258,7 @@ class SpeedupResult:
 
 
 class _MaskMembership:
-    """Memoised membership test for the existential constraint ``h_{1/2}``.
+    """The scalar Hall oracle, for degrees above ``_ALLOWS_TABLE_MAX_DELTA``.
 
     A tuple of label-set *masks* ``(Y_1, ..., Y_j)`` (``j <= delta``) is
     *extendable* iff some allowed configuration ``C`` of the original problem
@@ -262,14 +267,17 @@ class _MaskMembership:
     membership in ``h_{1/2}`` (Property 2).  Each test reduces to a tiny
     bipartite matching over per-configuration position masks; results are
     memoised under the (numerically sorted, hence canonical) mask tuple.
+    :meth:`allowed_next` asks it once per half label, with the contract of
+    :meth:`AllowsTable.allowed_next`.
     """
 
-    def __init__(self, problem: Problem):
+    def __init__(self, problem: Problem, meaning_masks: Sequence[int]):
         interned = intern(problem)
-        self._delta = problem.delta
         self._supports = interned.config_supports
         self._position_masks = interned.config_position_masks
+        self._meaning_masks = list(meaning_masks)
         self._cache: dict[tuple[int, ...], bool] = {}
+        self._next_cache: dict[tuple[int, ...], int] = {}
 
     def extendable(self, slots: Sequence[int]) -> bool:
         key = tuple(sorted(slots))
@@ -280,11 +288,18 @@ class _MaskMembership:
         self._cache[key] = result
         return result
 
-    def allows(self, slots: Sequence[int]) -> bool:
-        """Full membership: requires exactly ``delta`` slots."""
-        if len(slots) != self._delta:
-            return False
-        return self.extendable(slots)
+    def allowed_next(self, choice: tuple[int, ...]) -> int:
+        cached = self._next_cache.get(choice)
+        if cached is not None:
+            return cached
+        meaning_masks = self._meaning_masks
+        base = [meaning_masks[index] for index in choice]
+        mask = 0
+        for label, meaning in enumerate(meaning_masks):
+            if self.extendable([*base, meaning]):
+                mask |= 1 << label
+        self._next_cache[choice] = mask
+        return mask
 
     def _any_realizable(self, slots: tuple[int, ...]) -> bool:
         position_masks = self._position_masks
@@ -303,13 +318,26 @@ class _MaskMembership:
                     allowed |= positions[low.bit_length() - 1]
                     overlap ^= low
                 slot_positions.append(allowed)
-            # Memoised behind ``extendable``'s cache: amortised-constant
-            # per distinct slot tuple, so scalar matching is fine here.
+            # The scalar fallback for delta > 16, memoised behind
+            # ``extendable``'s cache.
             if realizable and mask_matching_exists(  # relint: allow[unbatched-matching]
                 slot_positions
             ):
                 return True
         return False
+
+
+def _hall_oracle(
+    problem: Problem, meaning_masks: Sequence[int]
+) -> AllowsTable | _MaskMembership:
+    """The Hall query of one derivation step over ``meaning_masks``.
+
+    :class:`AllowsTable` for ``delta <= 16``, the scalar
+    :class:`_MaskMembership` beyond it.
+    """
+    if problem.delta > _ALLOWS_TABLE_MAX_DELTA:
+        return _MaskMembership(problem, meaning_masks)
+    return AllowsTable(intern(problem), meaning_masks)
 
 
 def half_step(
@@ -389,9 +417,7 @@ def half_step(
                         edge_config(name_of_mask[first], name_of_mask[second])
                     )
 
-    membership = _MaskMembership(problem)
     ordered_names = sorted(meaning)
-    slot_masks = [meaning_mask[name] for name in ordered_names]
     candidate_count = _multiset_count(len(ordered_names), problem.delta)
     if candidate_count > max_candidate_configs:
         raise EngineLimitError(
@@ -400,9 +426,11 @@ def half_step(
             limit=max_candidate_configs,
             observed=candidate_count,
         )
-    node_configs = _search_existential_configs(
-        ordered_names, slot_masks, problem.delta, membership
-    )
+    started = perf_counter()
+    hall = _hall_oracle(problem, [meaning_mask[name] for name in ordered_names])
+    node_configs = _search_existential_configs(ordered_names, problem.delta, hall)
+    if stats is not None:
+        stats.existential_s += perf_counter() - started
 
     derived = Problem(
         name=f"{problem.name}|half" + ("" if simplify else "|raw"),
@@ -445,7 +473,6 @@ def full_step(
     half_problem = half.problem
     meaning = half.meaning
     original_alphabet = intern(half.original).alphabet
-    membership = _MaskMembership(half.original)
     if stats is None:
         stats = KernelStats()
 
@@ -485,43 +512,22 @@ def full_step(
                 observed=2**half_count,
             )
         candidate_masks = list(range(1, (1 << half_count)))
+    # A candidate's *rank* is its position in this order; configurations are
+    # kept as rank-sorted tuples, which is the half-alphabet order.
     candidate_masks.sort(key=half_alphabet.indices)
 
     # The universal node check (Property 4) only needs the minimal elements of
     # each candidate set: h_{1/2} is monotone under the half-label order.
-    mins = {
-        candidate: tuple(
-            i
-            for i in half_alphabet.indices(candidate)
-            if down[i] & candidate == 1 << i
+    mins = [
+        tuple(
+            index
+            for index in half_alphabet.indices(candidate)
+            if down[index] & candidate == 1 << index
         )
         for candidate in candidate_masks
-    }
+    ]
 
-    universal_cache: dict[tuple[int, ...], bool] = {}
-
-    def universal(config_masks: tuple[int, ...]) -> bool:
-        key = tuple(sorted(config_masks))
-        cached = universal_cache.get(key)
-        if cached is not None:
-            return cached
-        result = all(
-            # Memoised per sorted config key; min-choice fans are tiny.
-            membership.allows(  # relint: allow[unbatched-matching]
-                [meaning_masks[i] for i in choice]
-            )
-            for choice in product(*(mins[candidate] for candidate in key))
-        )
-        universal_cache[key] = result
-        return result
-
-    def extendable(config_masks: tuple[int, ...]) -> bool:
-        """Prune: every min-choice of a partial configuration must extend."""
-        return all(
-            membership.extendable([meaning_masks[i] for i in choice])
-            for choice in product(*(mins[candidate] for candidate in config_masks))
-        )
-
+    hall = _hall_oracle(half.original, meaning_masks)
     delta = half_problem.delta
     if simplify:
         # Only the *maximal* universal configurations survive Property 6, and
@@ -533,28 +539,14 @@ def full_step(
         # historical a-priori grid refusal is retired on this path: memory is
         # bounded by the surviving frontier (``max_live_configs``) and time
         # by the incremental work charge (``max_candidate_configs``).
-        allows_table = None
-        if delta <= _ALLOWS_TABLE_MAX_DELTA:
-            interned_original = intern(half.original)
-            allows_table = AllowsTable(
-                delta,
-                interned_original.config_supports,
-                interned_original.config_position_masks,
-                meaning_masks,
-                original_alphabet.size,
-            )
         frontier = _MaskFrontier(max_live_configs)
         _stream_maximal_configs(
             candidate_masks,
             delta,
             mins,
-            meaning_masks,
-            membership,
             up,
             half_count,
-            extendable,
-            half_alphabet.indices,
-            allows_table,
+            hall,
             frontier,
             max_candidate_configs,
             stats,
@@ -574,7 +566,7 @@ def full_step(
                 observed=candidate_count,
             )
         allowed_configs = _enumerate_universal_configs(
-            candidate_masks, delta, universal, extendable
+            candidate_masks, delta, mins, half_count, hall
         )
 
     # Edge constraint (Property 3, existential).  Simplified: {W, X} allowed
@@ -791,38 +783,47 @@ def _multiset_count(universe: int, size: int) -> int:
 
 def _search_existential_configs(
     ordered_names: list[Label],
-    slot_masks: list[int],
     delta: int,
-    membership: _MaskMembership,
+    hall: AllowsTable | _MaskMembership,
 ) -> list[tuple[Label, ...]]:
     """DFS for the half step's node constraint with extendability pruning.
 
-    Enumerates non-decreasing name tuples (canonical multisets) but prunes
-    any prefix whose slot masks already fail the extendability test, so the
-    work tracks the viable part of the space instead of the full
-    ``C(n + delta - 1, delta)`` grid the string path walked.  At depth
-    ``delta`` extendability *is* membership, so no re-check is needed at the
-    leaves.
+    Enumerates non-decreasing index tuples (canonical multisets) over
+    ``ordered_names``, but extends a partial configuration only by the
+    labels one Hall query (``allowed_next``) allows, so the work tracks the
+    viable part of the space instead of the full ``C(n + delta - 1, delta)``
+    grid the string path walked.  At depth ``delta - 1`` the query *is*
+    membership, so its answer lists the leaves directly.
     """
     results: list[tuple[Label, ...]] = []
-    count = len(ordered_names)
-    chosen_masks: list[int] = []
-    chosen_names: list[Label] = []
+    chosen: list[int] = []
 
     def extend(start: int) -> None:
-        if len(chosen_names) == delta:
-            results.append(tuple(chosen_names))
+        remaining = hall.allowed_next(tuple(chosen)) >> start << start
+        if len(chosen) == delta - 1:
+            names = [ordered_names[index] for index in chosen]
+            while remaining:
+                low = remaining & -remaining
+                remaining ^= low
+                results.append((*names, ordered_names[low.bit_length() - 1]))
             return
-        for index in range(start, count):
-            chosen_masks.append(slot_masks[index])
-            if membership.extendable(chosen_masks):
-                chosen_names.append(ordered_names[index])
-                extend(index)
-                chosen_names.pop()
-            chosen_masks.pop()
+        while remaining:
+            low = remaining & -remaining
+            remaining ^= low
+            chosen.append(low.bit_length() - 1)
+            extend(chosen[-1])
+            chosen.pop()
 
     extend(0)
     return results
+
+
+def _bits_mask(indices: Sequence[int]) -> int:
+    """The mask with exactly the bits ``indices`` set."""
+    mask = 0
+    for index in indices:
+        mask |= 1 << index
+    return mask
 
 
 def _enumerate_filters(
@@ -863,30 +864,36 @@ def _enumerate_filters(
 def _enumerate_universal_configs(
     candidates: Sequence[int],
     delta: int,
-    universal: Callable[[tuple[int, ...]], bool],
-    extendable: Callable[[tuple[int, ...]], bool],
+    mins: Sequence[tuple[int, ...]],
+    half_count: int,
+    hall: AllowsTable | _MaskMembership,
 ) -> list[tuple[int, ...]]:
     """DFS over non-decreasing candidate indices with extendability pruning.
 
     Used by the unsimplified (literal Theorem 1) path, which needs *every*
-    universal configuration, not just the maximal ones.
+    universal configuration, not just the maximal ones.  A candidate
+    extends a prefix iff each of its minimal elements extends every
+    min-choice of the prefix; at depth ``delta`` that is Property 4 itself.
     """
     results: list[tuple[int, ...]] = []
     chosen: list[int] = []
+    all_labels = (1 << half_count) - 1
+    min_masks = [_bits_mask(minimal) for minimal in mins]
 
-    def extend(start: int) -> None:
+    def extend(start: int, choices: list[tuple[int, ...]]) -> None:
         if len(chosen) == delta:
-            config = tuple(chosen)
-            if universal(config):
-                results.append(config)
+            results.append(tuple([candidates[index] for index in chosen]))
             return
+        allowed = all_labels
+        for choice in choices:
+            allowed &= hall.allowed_next(choice)
         for index in range(start, len(candidates)):
-            chosen.append(candidates[index])
-            if extendable(tuple(chosen)):
-                extend(index)
-            chosen.pop()
+            if min_masks[index] & ~allowed == 0:
+                chosen.append(index)
+                extend(index, [(*c, m) for c in choices for m in mins[index]])
+                chosen.pop()
 
-    extend(0)
+    extend(0, [()])
     # Deduplicate; candidates are pre-sorted, so each config tuple is already
     # canonical (non-decreasing in the candidate order).
     return sorted(set(results))
@@ -895,14 +902,10 @@ def _enumerate_universal_configs(
 def _stream_maximal_configs(
     candidates: Sequence[int],
     delta: int,
-    mins: dict[int, tuple[int, ...]],
-    meaning_masks: list[int],
-    membership: _MaskMembership,
+    mins: Sequence[tuple[int, ...]],
     up: list[int],
     half_count: int,
-    extendable: Callable[[tuple[int, ...]], bool],
-    sort_key: Callable[[int], object],
-    allows_table: AllowsTable | None,
+    hall: AllowsTable | _MaskMembership,
     frontier: _MaskFrontier,
     max_candidate_configs: int,
     stats: KernelStats,
@@ -924,14 +927,24 @@ def _stream_maximal_configs(
     filtered on the fly, so memory tracks the undominated frontier instead
     of the full completion multiset.
 
+    Every DFS node asks the Hall oracle once per min-choice of its prefix:
+    the AND of the answers is ``U`` at a full prefix and, at a shorter one,
+    the half labels that extend every min-choice, so a candidate extends
+    the prefix iff its minimal elements all lie in it.  Prefixes hold
+    candidate *ranks* (positions in ``candidates``), so a configuration
+    sorts as ints.
+
     ``max_candidate_configs`` is charged incrementally -- one unit per prefix
     extension attempted and per completion computed -- in deterministic DFS
-    order.  With an :class:`~repro.core.vectorkernel.AllowsTable` the
-    per-completion inner loop evaluates every last label in one batched Hall
-    test; without one (``delta > 16``, beyond the table's ``uint16``
-    position masks) it walks the memoised matching per label.
+    order.
     """
     all_labels = (1 << half_count) - 1
+    min_masks = [_bits_mask(minimal) for minimal in mins]
+    rank_of = {candidate: rank for rank, candidate in enumerate(candidates)}
+    # U -> (rank of its up-closure); the same U recurs across prefixes.
+    completion_rank: dict[int, int] = {}
+    allowed_next = hall.allowed_next
+    insert = frontier.insert
     prefix: list[int] = []
     work = 0
 
@@ -947,60 +960,54 @@ def _stream_maximal_configs(
                 observed=work,
             )
 
-    def complete() -> None:
+    def complete(choices: list[tuple[int, ...]]) -> None:
         """Compute U for the current prefix and stream its completion."""
         charge()
         started = perf_counter()
         allowed = all_labels
-        if allows_table is not None:
-            for choice in product(*(mins[candidate] for candidate in prefix)):
-                allowed &= allows_table.allowed_last(choice)
-                stats.matching_calls += 1
-                if not allowed:
-                    break
-        else:
-            for choice in product(*(mins[candidate] for candidate in prefix)):
-                base = [meaning_masks[i] for i in choice]
-                still_allowed = 0
-                remaining = allowed
-                while remaining:
-                    low = remaining & -remaining
-                    remaining ^= low
-                    stats.matching_calls += 1
-                    if membership.allows(  # relint: allow[unbatched-matching]
-                        base + [meaning_masks[low.bit_length() - 1]]
-                    ):
-                        still_allowed |= low
-                allowed = still_allowed
-                if not allowed:
-                    break
+        calls = 0
+        for choice in choices:
+            allowed &= allowed_next(choice)
+            calls += 1
+            if not allowed:
+                break
+        stats.matching_calls += calls
         stats.matching_s += perf_counter() - started
         if not allowed:
             return
-        completion = 0
-        remaining = allowed
-        while remaining:
-            low = remaining & -remaining
-            remaining ^= low
-            completion |= up[low.bit_length() - 1]
-        config = tuple(sorted([*prefix, completion], key=sort_key))
+        rank = completion_rank.get(allowed)
+        if rank is None:
+            completion = 0
+            remaining = allowed
+            while remaining:
+                low = remaining & -remaining
+                remaining ^= low
+                completion |= up[low.bit_length() - 1]
+            rank = completion_rank[allowed] = rank_of[completion]
+        config = tuple([candidates[r] for r in sorted([*prefix, rank])])
         started = perf_counter()
-        frontier.insert(config)
+        insert(config)
         stats.domination_s += perf_counter() - started
         stats.configs_streamed += 1
 
-    def extend(start: int) -> None:
+    def extend(start: int, choices: list[tuple[int, ...]]) -> None:
         if len(prefix) == delta - 1:
-            complete()
+            complete(choices)
             return
+        started = perf_counter()
+        allowed = all_labels
+        for choice in choices:
+            allowed &= allowed_next(choice)
+        stats.matching_s += perf_counter() - started
         for index in range(start, len(candidates)):
             charge()
-            prefix.append(candidates[index])
-            if extendable(tuple(prefix)):
-                extend(index)
-            prefix.pop()
+            if min_masks[index] & ~allowed == 0:
+                prefix.append(index)
+                # The min-choices in ``itertools.product`` order.
+                extend(index, [(*c, m) for c in choices for m in mins[index]])
+                prefix.pop()
 
-    extend(0)
+    extend(0, [()])
 
 
 class _MaskFrontier:
@@ -1016,6 +1023,12 @@ class _MaskFrontier:
     candidates (and only strictly smaller totals can be evicted), with the
     union-superset and sorted-popcount-profile prefilters skipping almost
     every exact matching test.
+
+    Almost every completion of a long stream is dominated, so the scan looks
+    for a dominator newest entry first, and an entry that dominates moves to
+    the newest place: the next completion shares most of its prefix and is
+    usually dominated by the same entry.  The order of the scan changes
+    which entry is found, never the outcome, the evictions or ``peak``.
 
     ``max_live`` caps the *live* frontier: the error fires only when the
     undominated set itself -- and with it the derived problem's node
@@ -1044,27 +1057,29 @@ class _MaskFrontier:
         union = 0
         for component in config:
             union |= component
-        popcounts = tuple(
-            sorted((component.bit_count() for component in config), reverse=True)
-        )
+        popcounts = tuple(sorted(map(int.bit_count, config), reverse=True))
         total = sum(popcounts)
         victims: list[tuple[int, ...]] = []
-        for kept_config, (kept_total, kept_pops, kept_union) in entries.items():
+        # Newest first; a dominator moves to the end (see the class docstring).
+        for kept_config, (kept_total, kept_pops, kept_union) in reversed(
+            entries.items()
+        ):
             if kept_total > total:
                 if union & ~kept_union:
                     continue
-                if any(p > q for p, q in zip(popcounts, kept_pops)):
+                if any(map(gt, popcounts, kept_pops)):
                     continue
                 if _config_dominates(kept_config, config):
                     # A frontier member dominating the newcomer excludes any
                     # frontier member dominated by it (the frontier is an
                     # antichain and domination is transitive), so no evictions
                     # can have been collected; drop the newcomer.
+                    entries[kept_config] = entries.pop(kept_config)
                     return
             elif kept_total < total:
                 if kept_union & ~union:
                     continue
-                if any(q > p for p, q in zip(popcounts, kept_pops)):
+                if any(map(lt, popcounts, kept_pops)):
                     continue
                 if _config_dominates(config, kept_config):
                     victims.append(kept_config)
@@ -1090,6 +1105,13 @@ def _config_dominates(big: tuple[int, ...], small: tuple[int, ...]) -> bool:
     """``big`` dominates ``small``: some bijection pairs every component of
     ``small`` with a distinct superset component of ``big`` -- a perfect-
     matching test over position masks."""
+    # Both tuples are sorted by rank, and the in-order pairing settles
+    # almost every test that holds (108k of 109k on weak-2-coloring[3]).
+    for component, candidate in zip(small, big):
+        if component & ~candidate:
+            break
+    else:
+        return True
     position_masks = []
     for component in small:
         allowed = 0

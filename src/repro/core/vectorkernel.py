@@ -1,24 +1,30 @@
-"""The numpy folds of the derivation: batched matching and materialisation.
+"""The batched folds of the derivation: the Hall query and materialisation.
 
-Label masks are packed into ``uint64`` numpy rows (problems with more than
-64 derived labels spill to multi-word rows) wherever a fold evaluates
-thousands of candidates per vector operation.  Each fold of the derivation
-has exactly one implementation, the one that measured fastest; two of them
-live here:
+These folds evaluate every candidate at once instead of one per loop
+iteration.  Each fold of the derivation has exactly one implementation, the
+one that measured fastest; two of them live here:
 
-* prefix-completion matching -- :class:`AllowsTable` decides, for every
-  candidate last label at once, whether a half-step configuration is
-  realizable (Hall's condition over position masks).  It packs positions
-  into ``uint16``, so inputs with ``delta > 16`` take the scalar matching
-  loop in :mod:`repro.core.speedup`;
-* materialisation -- :func:`existential_edge_matrix` builds the derived
-  edge relation as one boolean matrix, which :mod:`repro.core.speedup`
-  packs into per-label adjacency masks.
+* the Hall query -- :class:`AllowsTable` decides, for every candidate
+  next label at once, whether a partial configuration of any length below
+  ``delta`` still extends to an allowed one (Hall's condition over
+  position masks).  One table serves both steps: the half step's
+  node-configuration search, and the full step's prefix pruning and
+  prefix completion.  It computes on Python ints used as bit matrices
+  (one row per node configuration, one bit per half label): against its
+  numpy form that measured 2-3x faster on the ``classify-mix``
+  derivations and 10% slower on the ``derive-cold`` ones (docs/API.md,
+  "Kernels").  Inputs with ``delta > 16`` ask the scalar matching oracle
+  in :mod:`repro.core.speedup` instead of walking ``2**(delta - 1)`` slot
+  subsets;
+* materialisation -- :func:`existential_edge_matrix` packs label masks
+  into ``uint64`` numpy rows (more than 64 labels spill to multi-word
+  rows), builds the derived edge relation as one boolean matrix, and
+  :mod:`repro.core.speedup` packs it into per-label adjacency masks.
 
 The closed-set fixed point, the filter enumeration and the domination
 frontier stay scalar big-int code in :mod:`repro.core.galois` and
 :mod:`repro.core.speedup`: batching them measured slower.  numpy >= 2 is a
-hard dependency (``numpy.bitwise_count`` does the packed popcounts).
+hard dependency.
 """
 
 from __future__ import annotations
@@ -27,6 +33,8 @@ from dataclasses import dataclass
 from typing import Any, Sequence
 
 import numpy
+
+from repro.core.alphabet import InternedProblem
 
 __all__ = [
     "KernelStats",
@@ -79,14 +87,16 @@ class KernelStats:
     metrics by the repository benchmark's tracer (``perfbench/tracer.py``).
 
     The phases partition the derivation: ``closed_sets_s`` is the half
-    step's Galois closed-set fixed point, ``enumeration_s`` the
-    filter/antichain enumeration, ``matching_s`` the prefix-completion
-    walk (dominated by Hall/matching feasibility checks), ``domination_s``
-    the streaming domination frontier, and ``materialise_s`` the derived
-    problem construction tail.
+    step's Galois closed-set fixed point, ``existential_s`` the half step's
+    node-configuration search (its Hall table and DFS),
+    ``enumeration_s`` the filter/antichain enumeration, ``matching_s`` the
+    full step's Hall queries (prefix pruning and prefix completion),
+    ``domination_s`` the streaming domination frontier, and
+    ``materialise_s`` the derived problem construction tail.
     """
 
     closed_sets_s: float = 0.0
+    existential_s: float = 0.0
     enumeration_s: float = 0.0
     matching_s: float = 0.0
     domination_s: float = 0.0
@@ -99,6 +109,7 @@ class KernelStats:
         """JSON-ready form (diagnostics; not part of result payloads)."""
         return {
             "closed_sets_s": round(self.closed_sets_s, 6),
+            "existential_s": round(self.existential_s, 6),
             "enumeration_s": round(self.enumeration_s, 6),
             "matching_s": round(self.matching_s, 6),
             "domination_s": round(self.domination_s, 6),
@@ -144,95 +155,128 @@ def unpack_masks(rows: numpy.ndarray) -> list[int]:
 
 
 class AllowsTable:
-    """Batched membership tests for the half-step node constraint.
+    """Batched Hall queries for the existential node constraint ``h_{1/2}``.
 
-    Precomputes, per original node configuration ``c`` and per half label
-    ``h``, the mask of positions of ``c`` (bits over ``range(delta)``) that
-    can receive a label from ``meaning(h)`` -- the bipartite adjacency the
-    scalar :class:`repro.core.speedup._MaskMembership` rebuilds per query.
-    A full-membership query for ``delta`` half labels then reduces to
-    Hall's condition over at most ``2**delta`` position-mask unions,
-    evaluated for *every* candidate last label at once: exactly the inner
-    loop of the prefix-completion enumeration, batched.
+    One table serves both steps of the derivation and every prefix length:
+    the half step's node-configuration search asks it which half labels
+    may extend a partial configuration, and the full step's prefix pruning
+    and prefix completion read the same answers.
 
-    Hall's marriage theorem (every slot subset must see at least as many
+    The table is a bit matrix per position ``b`` of a node configuration,
+    packed into one Python int: row ``c`` (one original node configuration)
+    holds, one bit per half label ``h``, whether ``meaning(h)`` contains the
+    label at position ``b`` of ``c``.  A query works on whole matrices, so
+    it decides every configuration and every candidate next label with a
+    few big-int operations per subset of the slots already chosen.  Hall's
+    marriage theorem (every slot subset must see at least as many
     positions) is equivalent to the perfect matching
     :func:`repro.core.alphabet.mask_matching_exists` searches for, so the
-    batched predicate is exactly the scalar one.
+    batched predicate is exactly the scalar ``extendable`` of
+    :class:`repro.core.speedup._MaskMembership`.
     """
 
-    def __init__(
-        self,
-        delta: int,
-        config_supports: Sequence[int],
-        config_position_masks: Sequence[dict[int, int]],
-        meaning_masks: Sequence[int],
-        original_size: int,
-    ):
-        self._half_count = len(meaning_masks)
-        config_count = len(config_supports)
-
-        # Q[c, i]: positions of original label i in configuration c.
-        positions = numpy.zeros((config_count, original_size), dtype=numpy.uint16)
-        for config_index, per_label in enumerate(config_position_masks):
-            for label_index, position_mask in per_label.items():
-                positions[config_index, label_index] = position_mask
-        # M[i, h]: original label i belongs to meaning(h).
-        membership = numpy.zeros((original_size, self._half_count), dtype=numpy.uint8)
+    def __init__(self, original: InternedProblem, meaning_masks: Sequence[int]):
+        # holders[i]: the half labels whose meaning holds original label i.
+        holders = [0] * original.alphabet.size
         for half_index, meaning in enumerate(meaning_masks):
             remaining = int(meaning)
             while remaining:
                 low = remaining & -remaining
-                membership[low.bit_length() - 1, half_index] = 1
+                holders[low.bit_length() - 1] |= 1 << half_index
                 remaining ^= low
-        # P[c, h]: positions of c that can receive a label from meaning(h),
-        # assembled bit-plane by bit-plane (delta matmuls of 0/1 matrices).
-        table = numpy.zeros((config_count, self._half_count), dtype=numpy.uint16)
-        for bit in range(delta):
-            plane = ((positions >> bit) & 1).astype(numpy.uint8)
-            table |= (plane @ membership > 0).astype(numpy.uint16) << numpy.uint16(bit)
-        self._table = table
-        self._popcount = numpy.bitwise_count(table)
-        self._last_cache: dict[tuple[int, ...], int] = {}
+        configs = original.node_configs
+        # Rows are padded to whole bytes, so a matrix is one int.from_bytes.
+        row_bytes = max(1, (len(meaning_masks) + 7) // 8)
+        self._width = 8 * row_bytes
+        self._rows = len(configs)
+        # planes[b], row c: the half labels that can take position b of c.
+        self._planes = tuple(
+            int.from_bytes(
+                b"".join(
+                    [holders[config[b]].to_bytes(row_bytes, "little") for config in configs]
+                ),
+                "little",
+            )
+            for b in range(original.problem.delta)
+        )
+        # The lowest bit of every row, and one full row.
+        self._row_starts = int.from_bytes(
+            (1).to_bytes(row_bytes, "little") * self._rows, "little"
+        )
+        self._row_mask = (1 << self._width) - 1
+        # The empty subset of a choice: z must take some position.
+        self._reach = 0
+        for plane in self._planes:
+            self._reach |= plane
+        self._slots: dict[int, tuple[int, ...]] = {}
+        self._cache: dict[tuple[int, ...], int] = {}
 
-    def allowed_last(self, choice: Sequence[int]) -> int:
-        """Half labels ``z`` with ``allows(choice + (z,))``, as a bitmask.
+    def _slot(self, half_index: int) -> tuple[int, ...]:
+        """Per position, the full rows of the configurations where half label
+        ``half_index`` can take that position."""
+        slot = self._slots.get(half_index)
+        if slot is None:
+            starts, row = self._row_starts, self._row_mask
+            slot = self._slots[half_index] = tuple(
+                [(plane >> half_index & starts) * row for plane in self._planes]
+            )
+        return slot
 
-        ``choice`` holds ``delta - 1`` half-label indices (the fixed slots
-        of one min-choice of a prefix); the return value packs, one bit per
-        half label, whether the full ``delta``-slot configuration satisfies
-        the existential node constraint in *some* original configuration.
-        The answer is a pure function of ``choice`` and the same choices
-        recur across thousands of prefixes, so results are memoised.
+    def allowed_next(self, choice: tuple[int, ...]) -> int:
+        """Half labels ``z`` such that ``choice + (z,)`` is extendable, as a bitmask.
+
+        ``choice`` holds fewer than ``delta`` half-label indices; bit ``z``
+        of the answer says whether some original configuration can give the
+        ``len(choice) + 1`` slots distinct positions, slot ``s`` a position
+        holding a label of its meaning.  With ``delta - 1`` indices that is
+        full membership in ``h_{1/2}``.  The answer is a pure function of
+        ``choice`` and choices recur across thousands of prefixes, so it is
+        memoised.
+
+        Every configuration (row) and every candidate ``z`` (bit of a row)
+        is decided at once.  Per row, Hall's condition over the slots plus
+        ``z`` reads, for every subset ``S`` of the choice reaching the
+        positions ``U``: ``|U| >= |S|`` (the choice alone fits), and ``z``
+        takes a position outside ``U`` wherever ``|U| == |S|``.  The empty
+        subset is always tight: ``z`` must take some position.
         """
-        key = tuple(choice)
-        cached = self._last_cache.get(key)
+        cached = self._cache.get(choice)
         if cached is not None:
             return cached
-        table = self._table
-        base = [table[:, index] for index in choice]
-        # Hall over the fixed slots alone (z-independent): prune configs.
-        feasible = numpy.ones(table.shape[0], dtype=bool)
-        subsets: list[tuple[int, numpy.ndarray]] = []
-        for bits in range(1, 1 << len(base)):
-            union = numpy.zeros(table.shape[0], dtype=numpy.uint16)
-            size = 0
-            for slot, column in enumerate(base):
-                if bits >> slot & 1:
-                    union = union | column
-                    size += 1
-            feasible &= numpy.bitwise_count(union) >= size
-            subsets.append((size, union))
-        # Hall over every subset including z: |S| + 1 positions needed.
-        allowed = (self._popcount >= 1) & feasible[:, None]
-        for size, union in subsets:
-            allowed &= numpy.bitwise_count(union[:, None] | table) >= size + 1
-        any_config = numpy.any(allowed, axis=0)
-        mask = 0
-        for half_index in numpy.nonzero(any_config)[0].tolist():
-            mask |= 1 << half_index
-        self._last_cache[key] = mask
-        return mask
+        planes = self._planes
+        allowed = self._reach
+        # unions[s][b]: the rows where some slot of subset s of the choice
+        # can take position b.
+        unions = [(0,) * len(planes)]
+        for index in choice:
+            slot = self._slot(index)
+            unions += [
+                tuple([reached | own for reached, own in zip(union, slot)])
+                for union in unions
+            ]
+        for subset in range(1, len(unions)):
+            union = unions[subset]
+            size = subset.bit_count()
+            # at_least[j]: the rows where the subset reaches j or more positions.
+            at_least = [-1] + [0] * (size + 1)
+            for reached in union:
+                for count in range(size + 1, 0, -1):
+                    at_least[count] |= at_least[count - 1] & reached
+            tight = at_least[size] & ~at_least[size + 1]
+            outside = 0
+            for plane, reached in zip(planes, union):
+                outside |= plane & ~reached
+            allowed &= at_least[size] & (~tight | outside)
+            if not allowed:
+                break
+        # Fold the rows into one: some configuration admits z.
+        rows, width = self._rows, self._width
+        while rows > 1:
+            half = (rows + 1) // 2
+            allowed = (allowed & ((1 << half * width) - 1)) | (allowed >> half * width)
+            rows = half
+        self._cache[choice] = allowed
+        return allowed
 
 
 # -- existential edge relation ----------------------------------------------

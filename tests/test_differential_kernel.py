@@ -131,6 +131,37 @@ def test_kernel_matches_legacy_on_random_problem(seed):
     assert_behaves_as(result.full, reference)
 
 
+def _unsimplified_is_cheap(problem: Problem) -> bool:
+    """At most three labels and nine label tuples per node: the string path
+    finishes the literal Theorem 1 derivation in well under a second."""
+    return len(problem.labels) <= 3 and len(problem.labels) ** problem.delta <= 9
+
+
+#: Every fourth seed with a cheap derivation, plus seed 124, whose
+#: derivation trips a size guard.
+UNSIMPLIFIED_SEEDS = [
+    seed
+    for seed in range(0, SEED_COUNT, 4)
+    if _unsimplified_is_cheap(random_problem(seed))
+] + [124]
+
+
+@pytest.mark.parametrize("seed", UNSIMPLIFIED_SEEDS)
+def test_unsimplified_kernel_matches_legacy_on_random_problem(seed):
+    """The literal Theorem 1 path (every subset, every universal
+    configuration) equals the string path, or trips the same guard."""
+    problem = random_problem(seed)
+    try:
+        expected = _legacy.compute_speedup(problem, simplify=False)
+    except EngineLimitError as legacy_error:
+        with pytest.raises(EngineLimitError) as kernel_error:
+            compute_speedup(problem, simplify=False)
+        assert kernel_error.value.limit_name == legacy_error.limit_name
+        assert kernel_error.value.observed == legacy_error.observed
+    else:
+        assert compute_speedup(problem, simplify=False) == expected
+
+
 def test_random_problems_are_diverse():
     """The generator actually covers different deltas and alphabet sizes."""
     problems = [random_problem(seed) for seed in range(SEED_COUNT)]

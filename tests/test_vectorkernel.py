@@ -1,11 +1,12 @@
 """The derivation folds: one implementation each, checked against references.
 
 Every fold of ``half_step`` / ``full_step`` has exactly one implementation
-(``repro.core.vectorkernel`` holds the numpy ones: prefix-completion
-matching and materialisation).  These tests pin the pieces the catalog
+(``repro.core.vectorkernel`` holds the batched ones: the Hall query and
+materialisation).  These tests pin the pieces the catalog
 differential suite (``test_differential_kernel.py``) reaches only
-indirectly: the packed-row helpers, the filter enumeration, the streaming
-domination frontier, the scalar completion loop that serves ``delta > 16``,
+indirectly: the packed-row helpers, the batched Hall query against the
+scalar oracle, the filter enumeration, the streaming domination frontier,
+the scalar oracle that serves ``delta > 16``,
 multi-word packed rows, limit trips under tight limits, independence of
 the packed bit layout, and the ``kernel`` compatibility surface the
 benchmark harness still uses.
@@ -19,12 +20,15 @@ import pytest
 
 import _legacy
 from repro.core import vectorkernel as vk
+from repro.core.alphabet import intern
+from repro.core.galois import Compatibility
 from repro.core.isomorphism import are_isomorphic
 from repro.core.problem import Problem
 from repro.core.speedup import (
     EngineLimitError,
     _enumerate_filters,
     _MaskFrontier,
+    _MaskMembership,
     compute_speedup,
 )
 from repro.engine import Engine, EngineConfig
@@ -107,9 +111,13 @@ def test_cold_engine_derivation_reports_kernel_stats(name, delta):
     result = Engine().speedup(catalog()[name](delta))
     stats = result.kernel_stats
     assert stats is not None
-    for fold in ("closed_sets_s", "enumeration_s", "matching_s",
+    for fold in ("closed_sets_s", "existential_s", "enumeration_s", "matching_s",
                  "domination_s", "materialise_s"):
         assert getattr(stats, fold) >= 0
+        assert stats.to_dict()[fold] >= 0
+    # The half step's node-configuration search always runs, so its timer
+    # always advances.
+    assert stats.existential_s > 0
     assert stats.configs_streamed >= stats.frontier_peak > 0
 
 
@@ -195,6 +203,101 @@ def test_enumerate_filters_trips_one_past_the_limit():
     assert trip.value.observed == limit + 1
 
 
+# -- the batched Hall query ------------------------------------------------------
+
+
+def hall_pair(problem: Problem, meaning_masks: list[int]):
+    """The batched table and the scalar oracle over the same half labels."""
+    table = vk.AllowsTable(intern(problem), meaning_masks)
+    return table, _MaskMembership(problem, meaning_masks)
+
+
+def assert_allowed_next_matches_scalar(
+    problem: Problem, meaning_masks: list[int], max_choices: int = 400
+) -> None:
+    """``allowed_next`` equals the scalar ``extendable`` per candidate, at
+    every choice length from 0 to ``delta - 1``."""
+    table, scalar = hall_pair(problem, meaning_masks)
+    rng = random.Random(len(meaning_masks) * 1000 + problem.delta)
+    indices = range(len(meaning_masks))
+    for length in range(problem.delta):
+        choices = list(multisets_of_size(indices, length))
+        if len(choices) > max_choices:
+            choices = rng.sample(choices, max_choices)
+        for choice in choices:
+            shuffled = list(choice)
+            rng.shuffle(shuffled)
+            base = [meaning_masks[index] for index in shuffled]
+            expected = 0
+            for label, meaning in enumerate(meaning_masks):
+                if scalar.extendable([*base, meaning]):
+                    expected |= 1 << label
+            assert table.allowed_next(tuple(shuffled)) == expected, (length, choice)
+            assert scalar.allowed_next(tuple(shuffled)) == expected
+
+
+def half_label_masks(problem: Problem) -> list[int]:
+    """The half step's candidate labels: the usable Galois-closed sets."""
+    return sorted(Compatibility(problem).usable_closed_masks(limit=10_000))
+
+
+@pytest.mark.parametrize("delta", [2, 3])
+@pytest.mark.parametrize("name", sorted(catalog()))
+def test_allowed_next_matches_scalar_on_catalog(name, delta):
+    problem = catalog()[name](delta)
+    assert_allowed_next_matches_scalar(problem, half_label_masks(problem))
+
+
+@pytest.mark.parametrize(
+    "name, delta", [("sinkless-coloring", 5), ("weak-2-coloring", 4), ("mis", 6)]
+)
+def test_allowed_next_matches_scalar_at_higher_degrees(name, delta):
+    """Choices of up to ``delta - 1`` slots: Hall over up to 32 subsets."""
+    problem = catalog()[name](delta)
+    assert_allowed_next_matches_scalar(
+        problem, half_label_masks(problem), max_choices=150
+    )
+
+
+@pytest.mark.parametrize("seed", range(0, 200, 4))
+def test_allowed_next_matches_scalar_on_random_problem(seed):
+    problem = random_problem(seed)
+    assert_allowed_next_matches_scalar(problem, half_label_masks(problem))
+    # Any label sets, not only closed ones: the query is Hall's condition
+    # for arbitrary slots.
+    rng = random.Random(seed)
+    size = len(problem.labels)
+    arbitrary = [rng.randrange(1, 1 << size) for _ in range(6)]
+    assert_allowed_next_matches_scalar(problem, arbitrary)
+
+
+def test_allowed_next_matches_scalar_past_the_word_boundary():
+    """70 original labels and 75 half labels: the table's rows and the
+    answer masks are wider than one 64-bit word."""
+    rng = random.Random(70)
+    labels = [f"y{i:02d}" for i in range(70)]
+    nodes = {tuple(sorted(rng.sample(labels, 3))) for _ in range(40)}
+    nodes |= {(label, label, label) for label in labels[::7]}
+    problem = Problem.make(
+        "wide-hall", 3, [(a, a) for a in labels], sorted(nodes), labels=labels
+    )
+    meaning_masks = [1 << i for i in range(70)] + [
+        rng.getrandbits(70) | 1 for _ in range(5)
+    ]
+    assert_allowed_next_matches_scalar(problem, meaning_masks, max_choices=150)
+    table, _ = hall_pair(problem, meaning_masks)
+    assert table.allowed_next(()).bit_length() > 64
+
+
+def test_allowed_next_with_no_configurations_or_no_labels_allows_nothing():
+    problem = Problem.make("none", 2, [("a", "a")], [], labels=["a", "b"])
+    table, scalar = hall_pair(problem, [0b01, 0b10, 0b11])
+    for choice in [(), (0,), (2,)]:
+        assert table.allowed_next(choice) == scalar.allowed_next(choice) == 0
+    table, scalar = hall_pair(random_problem(3), [])
+    assert table.allowed_next(()) == scalar.allowed_next(()) == 0
+
+
 # -- streaming domination frontier --------------------------------------------
 
 
@@ -257,9 +360,9 @@ def test_frontier_live_cap_trips_one_past_the_cap():
 
 @pytest.mark.parametrize("at_most_one_a", [True, False])
 def test_scalar_completion_loop_above_delta_16(at_most_one_a):
-    """``delta > 16`` is beyond ``AllowsTable``'s ``uint16`` positions, so the
-    prefix completions take the scalar matching loop.  With exactly one
-    ``a`` per node, some candidate last labels fail the matching."""
+    """Above ``delta = 16`` both steps ask the scalar matching oracle
+    instead of ``AllowsTable``.  With exactly one ``a`` per node,
+    some candidate last labels fail the matching."""
     delta = 17
     nodes = [("a",) + ("b",) * (delta - 1)]
     if at_most_one_a:

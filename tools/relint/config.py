@@ -37,14 +37,15 @@ NAME_SURFACE_CALLS: frozenset[str] = frozenset(
 #: Modules holding the derivation's hot folds.  Per-candidate matching calls
 #: inside loops here should go through the batched ``AllowsTable`` in
 #: ``repro.core.vectorkernel`` instead; the scalar paths that legitimately
-#: remain (memoised lookups, the ``delta > 16`` completion walk) carry
-#: explicit ``allow[unbatched-matching]`` markers.
+#: remain carry explicit ``allow[unbatched-matching]`` markers.
 VECTORIZED_MODULES: frozenset[str] = frozenset({"speedup.py", "galois.py"})
 
 #: Per-candidate matching entry points covered by the unbatched-matching
 #: rule: the Hall-condition feasibility test and the full-membership oracle
-#: built on it.  (``extendable`` prefix pruning is exempt: the backtracking
-#: walk is prefix-shaped, one memoised query per prefix.)
+#: built on it.  Both derivation steps ask ``AllowsTable.allowed_next``, one
+#: batched query per prefix; scalar matching survives only in the
+#: ``delta > 16`` oracle (``_MaskMembership``) and in the frontier's
+#: one-off domination test.
 MATCHING_CALLS: frozenset[str] = frozenset({"mask_matching_exists", "allows"})
 
 #: Modules allowed to construct ``Problem(...)`` directly: the class's own

@@ -1,17 +1,18 @@
 """Batched-kernel hygiene: no per-candidate matching calls inside loops.
 
-``repro.core.vectorkernel`` batch-evaluates the prefix-completion matching
-(Hall-condition feasibility, ``AllowsTable``) for every candidate last
-label at once.  Inside the modules that hold the derivation's hot folds
+``repro.core.vectorkernel`` batch-evaluates the Hall-condition
+feasibility of both derivation steps (``AllowsTable.allowed_next``) for
+every candidate next label at once, at every prefix length.  Inside the
+modules that hold the derivation's hot folds
 (:data:`tools.relint.config.VECTORIZED_MODULES`), calling the scalar
 entry points (``mask_matching_exists``, the ``allows`` membership oracle)
 per candidate *inside a loop* quietly reintroduces the O(candidates)
 Python-level fold the batched table exists to remove.
 
-The scalar paths that legitimately remain -- memoised lookups whose cache
-makes the per-call cost amortised-constant, and the completion walk for
-``delta > 16`` that ``AllowsTable``'s ``uint16`` positions cannot hold --
-carry explicit ``# relint: allow[unbatched-matching]`` markers, which
+Scalar matching now survives only in the oracle for ``delta > 16``
+(``_MaskMembership``), where ``AllowsTable``'s walk over all
+``2**(delta - 1)`` subsets of the chosen slots grows exponentially.  It
+carries an explicit ``# relint: allow[unbatched-matching]`` marker, which
 doubles as an inventory of exactly where scalar matching survives.
 """
 
