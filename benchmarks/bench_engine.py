@@ -3,7 +3,7 @@
 import pytest
 
 from repro.analysis.experiments import run_independence, run_maximality
-from repro.core.isomorphism import find_isomorphism
+from repro.core.canonical import find_isomorphism
 from repro.core.speedup import half_step, speedup
 from repro.core.zero_round import zero_round_with_orientations
 from repro.problems.catalog import get_problem

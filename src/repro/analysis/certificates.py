@@ -15,6 +15,7 @@ the analysis-facing conveniences:
 
 from __future__ import annotations
 
+from repro.core.canonical import find_isomorphism
 from repro.core.certificate import (
     RELAXATION,
     SPEEDUP,
@@ -25,7 +26,6 @@ from repro.core.certificate import (
     CertificateStep,
     LowerBoundCertificate,
 )
-from repro.core.isomorphism import find_isomorphism
 from repro.core.relaxation import certify_relaxation
 from repro.core.speedup import speedup
 

@@ -13,7 +13,7 @@ from collections.abc import Iterator
 from itertools import combinations, product
 from math import comb
 
-from repro.core.isomorphism import are_isomorphic, find_isomorphism
+from repro.core.canonical import are_isomorphic, find_isomorphism
 from repro.core.problem import Problem
 from repro.core.speedup import half_step
 from repro.core.zero_round import zero_round_no_input, zero_round_with_orientations

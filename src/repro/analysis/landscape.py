@@ -22,7 +22,7 @@ from typing import TYPE_CHECKING
 if TYPE_CHECKING:
     from repro.engine.engine import Engine
 
-from repro.core.isomorphism import are_isomorphic
+from repro.core.canonical import are_isomorphic
 from repro.core.problem import Problem
 from repro.core.speedup import EngineLimitError
 from repro.core.zero_round import zero_round_no_input, zero_round_with_orientations

@@ -11,13 +11,20 @@ This package is the reproduction of the paper's core contribution
 * :mod:`repro.core.galois` -- the compatibility Galois connection;
 * :mod:`repro.core.speedup` -- the Pi -> Pi_{1/2} -> Pi_1 derivations;
 * :mod:`repro.core.zero_round` -- 0-round solvability decision procedures;
-* :mod:`repro.core.isomorphism` -- problem equivalence / fixed-point tests;
+* :mod:`repro.core.canonical` -- canonical forms: cache keys, isomorphisms,
+  fixed-point tests;
 * :mod:`repro.core.relaxation` -- certified relaxations and hardenings;
 * :mod:`repro.core.sequence` -- the iterated pipeline with lower-bound output.
 """
 
 from repro.core.alphabet import Alphabet, InternedProblem, intern, short_names
-from repro.core.canonical import CanonicalForm, canonical_form, canonical_hash
+from repro.core.canonical import (
+    CanonicalForm,
+    are_isomorphic,
+    canonical_form,
+    canonical_hash,
+    find_isomorphism,
+)
 from repro.core.certificate import (
     HARDENING,
     RELAXATION,
@@ -34,7 +41,6 @@ from repro.core.diagram import Diagram, compute_diagram, merge_equivalent_labels
 from repro.core.family import ProblemFamily
 from repro.core.format import format_problem, parse_problem
 from repro.core.galois import Compatibility
-from repro.core.isomorphism import are_isomorphic, find_isomorphism
 from repro.core.problem import (
     EdgeConfig,
     Label,

@@ -8,48 +8,50 @@ derivation is equivariant under label renaming -- ``speedup(rename(Pi))`` is
 Round elimination produces exactly such renamed twins all the time: every
 iteration renames the derived labels to ``A, B, C, ...``, and the analysis
 drivers re-derive the same catalog problems under different display names.
+Recognising them is also how a fixed point -- a derived ``Pi_1`` that is a
+renamed copy of an earlier problem, the Omega(log n) certificate -- is found.
 
-The canonical form is computed in two stages:
+The canonical labelling is one individualisation-refinement search (McKay
+and Piperno, "Practical graph isomorphism, II", J. Symbolic Comput. 2014)
+over the interned bitmask view (:mod:`repro.core.alphabet`):
 
-1. **Refinement.**  Labels are partitioned by iterated signature refinement
-   (1-WL on the constraint hypergraph): the initial color is a counting
-   signature, and each round refines by the multiset of neighbor colors in
-   edge configurations and the multiset of colored node-configuration
-   profiles.  Both are isomorphism-invariant, so equivalent labels of
-   renamed twins land in equal classes.
+1. **Refinement.**  The labels and the node configurations are the elements
+   of one ordered partition, labels and configurations in separate cells.
+   A queue of splitter cells refines it to an equitable partition: a cell
+   splits by how strongly its members link to a splitter -- labels to
+   labels through edge pairs, labels and configurations through
+   occurrences, weighted by multiplicity.  The counts are bit-sliced (one
+   mask per counter bit, summed from the interned adjacency masks), so a
+   split costs a few integer operations per cell, not a loop over labels.
+   Every decision reads counts and cell positions only, never label names,
+   so refinement commutes with renaming.
+2. **Search.**  While some label cell has several members, each member of
+   the first smallest one in turn is individualised (made a singleton cell
+   in front of the rest) and the partition refined again.  Every leaf -- all
+   cells singletons -- orders the labels; the key hashes the least encoding
+   of the constraints over all leaf orderings.
+3. **Automorphism pruning.**  Two leaves with equal encodings differ by an
+   automorphism.  A child in the same orbit as an explored sibling, under
+   the automorphisms found that fix the node's individualised labels, roots
+   an isomorphic subtree: it is skipped, or abandoned once found redundant.
 
-2. **Minimal encoding.**  Within-class ties are broken exactly, by
-   enumerating the (usually tiny) product of per-class permutations and
-   keeping the lexicographically smallest constraint encoding.  When a
-   problem is so symmetric that the enumeration would be large
-   (> ``PERMUTATION_BUDGET`` orderings), we fall back to an *exact* encoding
-   keyed on the actual label names: still a sound cache key (only
-   structurally identical problems collide), just blind to renamings.
-
-Both stages run over the interned index view (:mod:`repro.core.alphabet`):
-refinement walks precomputed per-label incidence lists instead of rescanning
-every constraint per label per round, and the tie-breaking encoder permutes
-integer arrays.  Signatures and encodings contain only class ids, counts and
-indices -- never label names -- so the computed keys are byte-identical to
-the legacy string path's (asserted by the differential tests): existing
-on-disk caches stay valid.
+The form is exact at every alphabet size: two problems share a key iff they
+are identical up to label renaming, and then ``ordering[i]`` of one
+corresponds to ``ordering[i]`` of the other, which is how
+:func:`find_isomorphism` and the cache's result translation map labels.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from hashlib import sha256
-from itertools import chain, permutations, product
-from math import factorial
+from operator import itemgetter
 
-from repro.core.alphabet import CanonicalHash, intern
+from repro.core.alphabet import CanonicalHash, InternedProblem, intern, iter_bits
 from repro.core.problem import Label, Problem
 
-# Cap on the number of tie-breaking orderings tried.  8! covers every
-# fully-symmetric alphabet up to 8 labels; refinement splits larger ones in
-# practice, and the exact-name fallback keeps the key sound beyond it.
-PERMUTATION_BUDGET = 40_320
+#: Keys of an earlier encoding carry another prefix, so they never match.
+_PREFIX = "canon2:"
 
 
 @dataclass(frozen=True)
@@ -57,136 +59,199 @@ class CanonicalForm:
     """A cache key plus the label ordering that realises it.
 
     ``key`` is equal for two problems iff they are identical up to label
-    renaming (or, for the symmetric fallback, identical outright); in that
-    case ``ordering[i]`` of one problem corresponds to ``ordering[i]`` of the
-    other, which is how the cache translates a stored result into the
-    requesting problem's label space.
+    renaming; in that case ``ordering[i]`` of one problem corresponds to
+    ``ordering[i]`` of the other, which is how the cache translates a stored
+    result into the requesting problem's label space.
     """
 
     key: CanonicalHash
     ordering: tuple[Label, ...]
 
-    @property
-    def index(self) -> dict[Label, int]:
-        return {label: i for i, label in enumerate(self.ordering)}
+
+def _add(counter: list[int], mask: int, level: int) -> None:
+    """Add ``2 ** level`` to the bit-sliced count of each member of ``mask``.
+
+    ``counter[j]`` is the mask of the elements whose count has bit ``j`` set.
+    """
+    while mask:
+        if level >= len(counter):
+            counter.extend([0] * (level - len(counter)))
+            counter.append(mask)
+            return
+        bits = counter[level]
+        counter[level] = bits ^ mask
+        mask &= bits
+        level += 1
 
 
-class _Incidence:
-    """Per-label incidence lists over the interned index view."""
+def _split(
+    cells: list[int], open_cells: list[int], counter: list[int], queue: dict[int, None]
+) -> list[int]:
+    """Split every open cell by its members' counts, ascending; return the
+    starts of the cells still open.
 
-    __slots__ = ("size", "edge_partners", "node_occurrences", "edge_pairs", "node_configs")
+    ``cells[s]`` is the member mask of the cell starting at position ``s``
+    (0 inside a cell); ``open_cells`` lists, ascending, the starts of the
+    cells with several members.  The pieces of a queued cell all join
+    ``queue``; of any other cell, all but the first largest (its counts
+    follow from the rest's).
+    """
+    levels = [bits for bits in reversed(counter) if bits]  # high bits first
+    still_open = []
+    for start in open_cells:
+        cell = cells[start]
+        for bits in levels:
+            if 0 != cell & bits != cell:
+                break
+        else:
+            still_open.append(start)
+            continue
+        pieces = [cell]  # split by each bit in turn, so counts ascend
+        for bits in levels:
+            pieces = [part for piece in pieces for part in (piece & ~bits, piece & bits) if part]
+        queued = queue.pop(cell, 0) is None
+        largest = max(pieces, key=int.bit_count)
+        for piece in pieces:
+            cells[start] = piece
+            if queued or piece != largest:
+                queue[piece] = None
+            if piece & (piece - 1):
+                still_open.append(start)
+            start += piece.bit_count()
+    return still_open
 
-    def __init__(self, problem: Problem):
-        interned = intern(problem)
+
+class _Search:
+    """One canonical-labelling search over an interned problem.
+
+    Elements ``0 .. size - 1`` are the labels, the next ones the node
+    configurations.  An edge pair links two labels with weight 1; a label
+    held ``k`` times by a configuration links the two with weight
+    ``2 ** ((k - 1) * width)``, so counts separate the multiplicities.
+    """
+
+    def __init__(self, interned: InternedProblem):
         size = interned.alphabet.size
         self.size = size
-        self.edge_pairs = sorted(interned.edge_pairs)
-        self.node_configs = interned.node_configs
-        # edge_partners[i]: the partner index of each edge pair containing i
-        # (one entry per pair; a self-loop (i, i) contributes i once).
-        edge_partners: list[list[int]] = [[] for _ in range(size)]
-        for a, b in self.edge_pairs:
-            edge_partners[a].append(b)
-            if a != b:
-                edge_partners[b].append(a)
-        self.edge_partners = edge_partners
-        # node_occurrences[i]: (config index, multiplicity of i in it) pairs.
-        node_occurrences: list[list[tuple[int, int]]] = [[] for _ in range(size)]
-        for config_index, config in enumerate(self.node_configs):
-            for label_index, count in Counter(config).items():
-                node_occurrences[label_index].append((config_index, count))
-        self.node_occurrences = node_occurrences
+        self.configs = interned.node_configs
+        self.rows = [format(mask, f"0{size}b") for mask in interned.adjacency]
+        width = (size + len(self.configs)).bit_length()
+        links: list[dict[int, int]] = [{0: mask} for mask in interned.adjacency]
+        links.extend({} for _ in self.configs)
+        for element, config in enumerate(self.configs, size):
+            for label in set(config):
+                level = (config.count(label) - 1) * width
+                links[label][level] = links[label].get(level, 0) | 1 << element
+                links[element][level] = links[element].get(level, 0) | 1 << label
+        self.links = [list(levels.items()) for levels in links]
+        self.best: tuple[list[tuple[int, ...]], str] | None = None
+        self.best_order: list[int] = []
+        self.path: list[int] = []
+        # Per node on the path: its tried children and the automorphisms
+        # found that fix its path (gamma[i] is the image of label i).
+        self.stack: list[tuple[list[int], list[list[int]]]] = []
+
+    def refine(self, cells: list[int], open_cells: list[int], queue: dict[int, None]) -> list[int]:
+        """Refine with the queued splitters until the label cells are singletons
+        or the partition is equitable; return the starts still open."""
+        links = self.links
+        while queue and open_cells and open_cells[0] < self.size:
+            splitter, _ = queue.popitem()
+            counter: list[int] = []
+            for member in iter_bits(splitter):
+                for level, mask in links[member]:
+                    _add(counter, mask, level)
+            open_cells = _split(cells, open_cells, counter, queue)
+        return open_cells
+
+    def explore(self, cells: list[int], open_cells: list[int]) -> int:
+        """Search below one node; return the depth whose children continue.
+
+        A return value below this node's depth abandons the node: an
+        automorphism showed its subtree repeats one already searched.
+        """
+        label_open = [start for start in open_cells if start < self.size]
+        if not label_open:
+            return self.leaf(cells)
+        start = min(label_open, key=lambda s: (cells[s].bit_count(), s))
+        target = cells[start]
+        depth = len(self.path)
+        tried: list[int] = []
+        # The automorphisms found so far that fix this node's path.
+        generators: list[list[int]] = []
+        if depth:
+            fixed = self.path[-1]
+            generators = [gamma for gamma in self.stack[-1][1] if gamma[fixed] == fixed]
+        self.stack.append((tried, generators))
+        for member in iter_bits(target):
+            if tried and _joins(member, tried, generators):
+                continue
+            child = cells[:]
+            child[start], child[start + 1] = 1 << member, target ^ 1 << member
+            child_open = [s for s in open_cells if s != start]
+            if target.bit_count() > 2:
+                child_open = sorted(child_open + [start + 1])
+            child_open = self.refine(child, child_open, {1 << member: None})
+            self.path.append(member)
+            resume = self.explore(child, child_open)
+            self.path.pop()
+            tried.append(member)
+            if resume < depth:
+                break
+        else:
+            resume = depth
+        self.stack.pop()
+        return resume
+
+    def leaf(self, cells: list[int]) -> int:
+        """Compare a leaf's encoding with the best; record an automorphism
+        on a tie and return the depth to resume at."""
+        depth = len(self.path)
+        size = self.size
+        order = [cell.bit_length() - 1 for cell in cells[:size]]
+        position = [0] * size
+        for index, label in enumerate(order):
+            position[label] = index
+        nodes = sorted(tuple(sorted([position[label] for label in config])) for config in self.configs)
+        edges = ""
+        if size:
+            # The adjacency matrix in this order, row by row: rows[i][j] is
+            # bit size - 1 - j of label i's mask.
+            pick = itemgetter(*[size - 1 - label for label in order])
+            edges = "".join(["".join(pick(self.rows[label])) for label in order])
+        encoding = (nodes, edges)
+        if self.best is None or encoding < self.best:
+            self.best, self.best_order = encoding, order
+            return depth
+        if encoding > self.best:
+            return depth
+        gamma = [0] * size
+        for image, label in zip(order, self.best_order):
+            gamma[label] = image
+        # Hand gamma to every ancestor whose path it fixes, and abandon up to
+        # the highest one whose child on this path now repeats a tried one.
+        for level, (tried, generators) in enumerate(self.stack):
+            generators.append(gamma)
+            label = self.path[level]
+            if _joins(label, tried, generators):
+                return level
+            if gamma[label] != label:
+                break
+        return depth
 
 
-def _initial_colors(
-    incidence: _Incidence,
-) -> list[tuple[int, int, tuple[tuple[int, int], ...]]]:
-    """Counting signature per label index (isomorphism-invariant seed)."""
-    colors: list[tuple[int, int, tuple[tuple[int, int], ...]]] = []
-    for i in range(incidence.size):
-        partners = incidence.edge_partners[i]
-        self_pairs = sum(1 for partner in partners if partner == i)
-        other_pairs = len(partners) - self_pairs
-        node_profile = Counter(count for _, count in incidence.node_occurrences[i])
-        colors.append((self_pairs, other_pairs, tuple(sorted(node_profile.items()))))
-    return colors
-
-
-def _refine(incidence: _Incidence) -> list[int]:
-    """Iterated signature refinement; returns a class id per label index.
-
-    Class ids are assigned by sorted signature order, which is deterministic
-    and isomorphism-invariant (signatures only mention other class ids and
-    counts, never label names).
-    """
-    seed = _initial_colors(incidence)
-    ranked = {sig: rank for rank, sig in enumerate(sorted(set(seed)))}
-    color = [ranked[sig] for sig in seed]
-
-    while True:
-        # One colored profile per configuration, shared by all its labels.
-        config_profiles = [
-            tuple(sorted(color[x] for x in config))
-            for config in incidence.node_configs
-        ]
-        signatures = []
-        for i in range(incidence.size):
-            edge_profile = sorted(color[partner] for partner in incidence.edge_partners[i])
-            node_profile = sorted(
-                (count, config_profiles[config_index])
-                for config_index, count in incidence.node_occurrences[i]
-            )
-            signatures.append((color[i], tuple(edge_profile), tuple(node_profile)))
-        ranked = {sig: rank for rank, sig in enumerate(sorted(set(signatures)))}
-        refined = [ranked[sig] for sig in signatures]
-        if len(set(refined)) == len(set(color)):
-            return refined
-        color = refined
-
-
-def _encode_positions(
-    incidence: _Incidence, position: list[int]
-) -> tuple[tuple[tuple[int, int], ...], tuple[tuple[int, ...], ...]]:
-    """Constraint encoding under an old-index -> position assignment."""
-    edges = sorted(
-        (position[a], position[b])
-        if position[a] <= position[b]
-        else (position[b], position[a])
-        for a, b in incidence.edge_pairs
-    )
-    return (tuple(edges), _encode_nodes(incidence, position))
-
-
-def _encode_nodes(
-    incidence: _Incidence, position: list[int]
-) -> tuple[tuple[int, ...], ...]:
-    nodes = [
-        tuple(sorted([position[x] for x in config]))
-        for config in incidence.node_configs
-    ]
-    nodes.sort()
-    return tuple(nodes)
-
-
-def _edge_rank(incidence: _Incidence, position: list[int]) -> list[int]:
-    """A value ordered exactly like the edge half of :func:`_encode_positions`.
-
-    Each edge pair ``(low, high)`` packs into ``low * size + high``, which
-    sorts and compares like the pair (both entries are below ``size``), so
-    the tie-breaking search compares ints instead of building and comparing
-    a tuple per pair for every ordering it tries.
-    """
-    size = incidence.size
-    edges = []
-    for a, b in incidence.edge_pairs:
-        first, second = position[a], position[b]
-        edges.append(first * size + second if first <= second else second * size + first)
-    edges.sort()
-    return edges
-
-
-def _digest(parts: tuple[object, ...]) -> str:
-    return sha256(repr(parts).encode()).hexdigest()
+def _joins(member: int, tried: list[int], generators: list[list[int]]) -> bool:
+    """Is ``member`` in the orbit of a tried label under ``generators``?"""
+    orbit = {member}
+    frontier = [member]
+    while frontier:
+        point = frontier.pop()
+        for gamma in generators:
+            image = gamma[point]
+            if image not in orbit:
+                orbit.add(image)
+                frontier.append(image)
+    return not orbit.isdisjoint(tried)
 
 
 def canonical_form(problem: Problem) -> CanonicalForm:
@@ -196,55 +261,48 @@ def canonical_form(problem: Problem) -> CanonicalForm:
     same structure under different display names are the same content.
     """
     interned = intern(problem)
+    search = _Search(interned)
+    size, count = search.size, len(search.configs)
+    cells = [0] * (size + count)
+    queue: dict[int, None] = {}
+    open_cells: list[int] = []
+    for start, members in ((0, size), (size, count)):
+        if members:
+            cells[start] = ((1 << members) - 1) << start
+            queue[cells[start]] = None
+        if members > 1:
+            open_cells.append(start)
+    search.explore(cells, search.refine(cells, open_cells, queue))
+    assert search.best is not None
+    parts = (problem.delta, size, *search.best)
     names = interned.alphabet.names
-    incidence = _Incidence(problem)
-    classes = _refine(incidence)
-    class_ids = sorted(set(classes))
-    # Indices ascend in name order, so per-class index groups are name-sorted.
-    groups: list[list[int]] = [
-        [i for i in range(incidence.size) if classes[i] == cid] for cid in class_ids
-    ]
-
-    orderings = 1
-    for group in groups:
-        orderings *= factorial(len(group))
-    # Budget also the total encoding work, not just the ordering count.
-    work = orderings * (len(problem.edge_constraint) + len(problem.node_constraint) + 1)
-    if orderings > PERMUTATION_BUDGET or work > 4_000_000:
-        ordering = names
-        identity = list(range(incidence.size))
-        parts = ("exact", problem.delta, ordering, _encode_positions(incidence, identity))
-        return CanonicalForm(
-            key=CanonicalHash("exact:" + _digest(parts)), ordering=ordering
-        )
-
-    # The smallest (edges, nodes) encoding; the node half is only encoded
-    # for orderings whose edge half does not already lose.
-    best_rank: tuple[list[int], tuple[tuple[int, ...], ...]] | None = None
-    best_order: tuple[int, ...] | None = None
-    position = [0] * incidence.size
-    for combo in product(*(permutations(group) for group in groups)):
-        order = tuple(chain.from_iterable(combo))
-        for rank, old_index in enumerate(order):
-            position[old_index] = rank
-        edges = _edge_rank(incidence, position)
-        if best_rank is not None and edges > best_rank[0]:
-            continue
-        encoding_rank = (edges, _encode_nodes(incidence, position))
-        if best_rank is None or encoding_rank < best_rank:
-            best_rank = encoding_rank
-            best_order = order
-    assert best_order is not None
-    for rank, old_index in enumerate(best_order):
-        position[old_index] = rank
-    best_encoding = _encode_positions(incidence, position)
-    parts = ("canon", problem.delta, len(problem.labels), best_encoding)
     return CanonicalForm(
-        key=CanonicalHash("canon:" + _digest(parts)),
-        ordering=tuple(names[i] for i in best_order),
+        key=CanonicalHash(_PREFIX + sha256(repr(parts).encode()).hexdigest()),
+        ordering=tuple(names[label] for label in search.best_order),
     )
 
 
 def canonical_hash(problem: Problem) -> CanonicalHash:
     """The content-addressed cache key alone (see :func:`canonical_form`)."""
     return canonical_form(problem).key
+
+
+def find_isomorphism(first: Problem, second: Problem) -> dict[Label, Label] | None:
+    """Return a label bijection mapping ``first`` onto ``second``, or None.
+
+    The bijection maps the edge constraint of ``first`` exactly onto that of
+    ``second`` and likewise the node constraint: it pairs the labels at equal
+    positions of the two canonical orderings.  Labels unused by any
+    configuration still participate (they must map to similarly-unused
+    labels), so problems differing only in dead labels are not isomorphic;
+    call :meth:`Problem.compressed` first if that distinction is unwanted.
+    """
+    left, right = canonical_form(first), canonical_form(second)
+    if left.key != right.key:
+        return None
+    return dict(zip(left.ordering, right.ordering))
+
+
+def are_isomorphic(first: Problem, second: Problem) -> bool:
+    """Return True iff a constraint-preserving label bijection exists."""
+    return canonical_hash(first) == canonical_hash(second)

@@ -38,13 +38,14 @@ from typing import Any
 from dataclasses import dataclass
 
 from repro.core.alphabet import set_label_name
-from repro.core.isomorphism import find_isomorphism
+from repro.core.canonical import find_isomorphism
 from repro.core.problem import Problem, ProblemError
 from repro.core.relaxation import (
     HARDENS,
     RELAXES,
     RelaxationCertificate,
     is_harder_restriction,
+    is_isomorphism_map,
     is_relaxation_map,
 )
 from repro.core.speedup import (
@@ -383,7 +384,11 @@ class LowerBoundCertificate:
         if j is None or not 0 <= j < len(chain) - 1:
             failures.append(f"fixed_point_of={j!r} is not an earlier chain position")
             return failures
-        if find_isomorphism(chain[-1].compressed(), chain[j].compressed()) is None:
+        # The canonical labelling only proposes the map; the bijection check
+        # decides, so a canonicaliser fault can reject but never verify.
+        last, earlier = chain[-1].compressed(), chain[j].compressed()
+        mapping = find_isomorphism(last, earlier)
+        if mapping is None or not is_isomorphism_map(last, earlier, mapping):
             failures.append(
                 f"final problem is not isomorphic to chain position {j}"
             )

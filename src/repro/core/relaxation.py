@@ -164,6 +164,27 @@ def is_relaxation_map(
     )
 
 
+def is_isomorphism_map(
+    source: Problem, target: Problem, mapping: Mapping[Label, Label]
+) -> bool:
+    """Check that ``mapping`` is a label bijection sending both constraints of
+    ``source`` exactly onto ``target``'s.
+
+    A bijection maps distinct configurations to distinct ones, so once every
+    image lies in ``target``'s constraints (:func:`is_relaxation_map`), equal
+    constraint sizes make the images all of them.  The check shares no code
+    with the canonical labelling that finds such maps.
+    """
+    return (
+        set(mapping) == source.labels
+        and set(mapping.values()) == target.labels
+        and len(source.labels) == len(target.labels)
+        and len(source.edge_constraint) == len(target.edge_constraint)
+        and len(source.node_constraint) == len(target.node_constraint)
+        and is_relaxation_map(source, target, mapping)
+    )
+
+
 def certify_relaxation(
     source: Problem, target: Problem, mapping: Mapping[Label, Label]
 ) -> RelaxationCertificate:

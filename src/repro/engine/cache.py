@@ -29,13 +29,13 @@ renamed twins both ran the full derivation -- the thundering herd that made
 ``speedup_many`` nondeterministic about *which* twin's derivation got
 cached.
 
-Keys are computed by the bitmask kernel's canonical-form pass
-(:mod:`repro.core.canonical` over :mod:`repro.core.alphabet`), which is
-byte-compatible with the pre-kernel string path -- existing on-disk caches
-stay valid.  Hit translation renames set-valued labels with the kernel's
-collision-safe :func:`~repro.core.alphabet.set_label_name`, the same naming
-a fresh derivation would use, so translated and freshly derived results
-agree even for problems whose user labels contain braces or commas.
+Keys are computed by the canonical labelling of :mod:`repro.core.canonical`
+over the interned bitmask view (:mod:`repro.core.alphabet`); entries filed
+under an earlier key format are simply never looked up.  Hit translation
+renames set-valued labels with the kernel's collision-safe
+:func:`~repro.core.alphabet.set_label_name`, the same naming a fresh
+derivation would use, so translated and freshly derived results agree even
+for problems whose user labels contain braces or commas.
 
 For the Amdahl accounting the process-pool backend needs
 (:mod:`repro.engine.executor`), the cache meters its serial components:

@@ -34,7 +34,7 @@ if TYPE_CHECKING:
     from repro.search.driver import SearchResult
     from repro.search.upper import ChaseResult
 
-from repro.core.isomorphism import find_isomorphism
+from repro.core.canonical import canonical_hash
 from repro.core.problem import Problem
 from repro.core.relaxation import certify_relaxation
 from repro.core.speedup import (
@@ -373,9 +373,9 @@ class Engine:
         as ``StopIteration.value``) is True iff the description-size guards
         stopped the pipeline (Section 2.1's explosion).
 
-        Fixed-point detection caches the compressed form of every step, so
-        each new problem is compressed once -- not once per earlier step per
-        iteration.
+        Fixed-point detection keeps the canonical key of every step's
+        compressed form: a step repeats an earlier one iff their keys match,
+        so each new problem is hashed once and compared by string equality.
         """
         from repro.core.sequence import SequenceStep
 
@@ -386,8 +386,11 @@ class Engine:
                 progress(step)
             return step
 
+        def fixed_point_key(problem: Problem) -> str | None:
+            return canonical_hash(problem.compressed()) if cfg.detect_fixed_points else None
+
         steps: list[SequenceStep] = []
-        compressed: list[Problem] = []
+        keys: list[str | None] = []
         current = problem
         first = SequenceStep(
             index=0,
@@ -397,7 +400,7 @@ class Engine:
             isomorphic_to_step=None,
         )
         steps.append(first)
-        compressed.append(current.compressed())
+        keys.append(fixed_point_key(current))
         yield emit(first)
 
         for index in range(1, max_steps + 1):
@@ -416,13 +419,10 @@ class Engine:
                     target, mapping = relaxed
                     certificate = certify_relaxation(derived, target, mapping)
                     derived = target
-            derived_compressed = derived.compressed()
+            key = fixed_point_key(derived)
             iso_index = None
-            if cfg.detect_fixed_points:
-                for earlier, earlier_compressed in zip(steps, compressed):
-                    if find_isomorphism(derived_compressed, earlier_compressed):
-                        iso_index = earlier.index
-                        break
+            if key is not None and key in keys:
+                iso_index = steps[keys.index(key)].index
             step = SequenceStep(
                 index=index,
                 problem=derived,
@@ -431,7 +431,7 @@ class Engine:
                 isomorphic_to_step=iso_index,
             )
             steps.append(step)
-            compressed.append(derived_compressed)
+            keys.append(key)
             yield emit(step)
             current = derived
         return False

@@ -146,13 +146,13 @@ class ExpandOption:
     """One evaluated candidate of an expansion.
 
     ``move`` is ``None`` for the derived problem itself, else the relaxation
-    move that produced ``compressed``.  ``solvable`` is the memoised 0-round
+    move that produced the candidate.  ``key`` is the canonical hash of the
+    candidate's compressed form; ``solvable`` is its memoised 0-round
     verdict; ``memo_hit`` records whether the executing engine's memo
     already held it (the search's local stats consume this).
     """
 
     move: "RelaxationMove | None"
-    compressed: Problem
     key: str
     solvable: bool
     memo_hit: bool

@@ -75,38 +75,21 @@ def zero_round_verdict(engine: Engine, problem: Problem, key: str) -> tuple[bool
 class BeamState:
     """A partial certificate: current problem plus the chain that reached it.
 
-    ``chain_keys`` holds the canonical hash of every chain problem (the last
-    is the state's dedup key).  ``chain_compressed`` holds their compressed
-    forms for directions whose terminal test needs them, and is empty
-    otherwise.
+    ``chain_keys`` holds the canonical hash of every chain problem's
+    compressed form (the last is the state's dedup key).
     """
 
     problem: Problem
     steps: tuple[CertificateStep, ...]
     chain_keys: tuple[str, ...]
-    chain_compressed: tuple[Problem, ...] = ()
 
     @property
     def score(self) -> tuple[int, int]:
         return (self.problem.description_size, len(self.problem.labels))
 
-    def extend(
-        self,
-        steps: tuple[CertificateStep, ...],
-        key: str,
-        compressed: tuple[Problem, ...] = (),
-    ) -> BeamState:
-        """This chain continued by ``steps``; ``key`` hashes their last problem.
-
-        ``compressed`` holds that problem's compressed form, for directions
-        that keep ``chain_compressed``.
-        """
-        return BeamState(
-            steps[-1].problem,
-            self.steps + steps,
-            self.chain_keys + (key,),
-            self.chain_compressed + compressed,
-        )
+    def extend(self, steps: tuple[CertificateStep, ...], key: str) -> BeamState:
+        """This chain continued by ``steps``; ``key`` hashes their last problem."""
+        return BeamState(steps[-1].problem, self.steps + steps, self.chain_keys + (key,))
 
 
 class Counters:
@@ -149,8 +132,6 @@ class BeamPolicy(ABC, Generic[R]):
     charge_at_dispatch: ClassVar[bool]
     #: Prune candidates whose key was admitted at any earlier depth.
     prunes_revisits: ClassVar[bool]
-    #: Keep ``BeamState.chain_compressed`` (the terminal test needs it).
-    keeps_compressed_chain: ClassVar[bool]
     #: The fields of the direction's stats dataclass, in order.
     stat_names: ClassVar[tuple[str, ...]]
 
@@ -221,23 +202,17 @@ class Checkpoint:
             sweep_stale_tmp_files(path.parent)
 
     def _state_to_dict(self, state: BeamState) -> dict[str, object]:
-        data: dict[str, object] = {
+        return {
             "problem": state.problem.to_dict(),
             "steps": [step.to_dict() for step in state.steps],
             "chain_keys": list(state.chain_keys),
         }
-        if self._policy.keeps_compressed_chain:
-            data["chain_compressed"] = [p.to_dict() for p in state.chain_compressed]
-        return data
 
     def _state_from_dict(self, data: dict[str, Any]) -> BeamState:
-        keeps = self._policy.keeps_compressed_chain
-        compressed = data["chain_compressed"] if keeps else ()
         return BeamState(
             Problem.from_dict(data["problem"]),
             tuple(CertificateStep.from_dict(step) for step in data["steps"]),
             tuple(str(key) for key in data["chain_keys"]),
-            tuple(Problem.from_dict(p) for p in compressed),
         )
 
     def write(self, depth: int, beam: list[BeamState], visited: set[str] | None) -> None:
@@ -340,10 +315,8 @@ def beam_search(
         raise ValueError(
             f"beam_width and budget must be positive, {policy.fanout_name} >= 0"
         )
-    compressed = policy.problem.compressed()
-    root_key = canonical_hash(compressed)
-    chain: tuple[Problem, ...] = (compressed,) if policy.keeps_compressed_chain else ()
-    root = BeamState(policy.problem, (), (root_key,), chain)
+    root_key = canonical_hash(policy.problem.compressed())
+    root = BeamState(policy.problem, (), (root_key,))
     store = Checkpoint(policy, root_key, max_steps, enabled=checkpoint or resume)
 
     terminal = policy.root_result(root)

@@ -55,7 +55,6 @@ from repro.core.certificate import (
     CertificateStep,
     LowerBoundCertificate,
 )
-from repro.core.isomorphism import find_isomorphism
 from repro.core.problem import Problem
 from repro.core.speedup import EngineLimitError
 from repro.engine.engine import get_default_engine
@@ -188,7 +187,7 @@ def execute_expand_task(engine: Engine, task: ExpandTask) -> ExpandPayload:
         compressed = target.compressed()
         key = canonical_hash(compressed)
         solvable, memo_hit = zero_round_verdict(engine, compressed, key)
-        return ExpandOption(move, compressed, key, solvable, memo_hit)
+        return ExpandOption(move, key, solvable, memo_hit)
 
     options = [evaluate(result.full, None)]
     if not options[0].solvable:
@@ -205,7 +204,6 @@ class _LowerBound(BeamPolicy[SearchResult]):
     fanout_name = "max_moves"
     charge_at_dispatch = True
     prunes_revisits = False
-    keeps_compressed_chain = True
     stat_names = tuple(field.name for field in fields(SearchStats))
 
     def _result(
@@ -228,7 +226,7 @@ class _LowerBound(BeamPolicy[SearchResult]):
         # The root is checked and memoised on its compressed form like every
         # other candidate, and its canonical hash is the chain's first key.
         solvable, memo_hit = zero_round_verdict(
-            self.engine, root.chain_compressed[0], root.chain_keys[0]
+            self.engine, self.problem.compressed(), root.chain_keys[0]
         )
         self.counters.add_zero_round(memo_hit)
         return self._result(KIND_TRIVIAL) if solvable else None
@@ -249,7 +247,7 @@ class _LowerBound(BeamPolicy[SearchResult]):
         derived = payload.result.full
         head = payload.options[0]
         step = CertificateStep(kind=SPEEDUP, problem=derived, speedup=payload.result)
-        reached = state.extend((step,), head.key, (head.compressed,))
+        reached = state.extend((step,), head.key)
         for option in payload.options:
             counters.add("candidates_generated")
             move = option.move
@@ -259,9 +257,7 @@ class _LowerBound(BeamPolicy[SearchResult]):
                 relaxation = CertificateStep(
                     kind=RELAXATION, problem=move.target, relaxation=move.certificate()
                 )
-                candidate = reached.extend(
-                    (relaxation,), option.key, (option.compressed,)
-                )
+                candidate = reached.extend((relaxation,), option.key)
             revisit = _chain_revisit(candidate)
             if revisit is not None:
                 return self._result(KIND_FIXED_POINT, candidate, revisit)
@@ -328,16 +324,10 @@ def _chain_revisit(state: BeamState) -> int | None:
     """Earliest chain position the state's own problem revisits, if any.
 
     The scan covers every position strictly before the state's own, so the
-    index it yields is exactly ``verify()``'s chain position.  Canonical
-    hashes screen cheaply; the isomorphism test confirms (the hash's
-    symmetric-alphabet fallback is rename-sensitive, so hash inequality does
-    not disprove isomorphism -- but a missed revisit only delays the fixed
-    point, never unsoundly certifies one).
+    index it yields is exactly ``verify()``'s chain position.  Chain keys
+    are canonical hashes of the compressed problems, equal exactly for
+    renamed copies, so key equality is the revisit test; ``verify()``
+    re-checks the isomorphism it implies independently.
     """
-    key, compressed = state.chain_keys[-1], state.chain_compressed[-1]
-    for position, earlier_key in enumerate(state.chain_keys[:-1]):
-        if earlier_key != key:
-            continue
-        if find_isomorphism(compressed, state.chain_compressed[position]) is not None:
-            return position
-    return None
+    keys = state.chain_keys
+    return keys.index(keys[-1]) if keys[-1] in keys[:-1] else None

@@ -197,7 +197,6 @@ class _UpperBound(BeamPolicy[ChaseResult]):
     fanout_name = "max_hardenings"
     charge_at_dispatch = False
     prunes_revisits = True
-    keeps_compressed_chain = False
     stat_names = tuple(field.name for field in fields(ChaseStats))
 
     def _result(

@@ -13,20 +13,16 @@ tests and for auditing.  Do not "optimise" it -- its value is that it stays
 byte-for-byte the semantics the paper-facing test suite was validated
 against.  The public dataclasses (:class:`~repro.core.speedup.HalfStepResult`,
 :class:`~repro.core.speedup.SpeedupResult`,
-:class:`~repro.core.zero_round.ZeroRoundWitness`,
-:class:`~repro.core.canonical.CanonicalForm`) are shared with the live
+:class:`~repro.core.zero_round.ZeroRoundWitness`) are shared with the live
 modules so results compare with ``==``.
 """
 
 from __future__ import annotations
 
 import string
-from collections import Counter
 from collections.abc import Iterable, Sequence
-from itertools import chain, combinations, permutations, product
-from math import factorial
+from itertools import combinations, product
 
-from repro.core.canonical import PERMUTATION_BUDGET, CanonicalForm, _digest
 from repro.core.problem import Label, NodeConfig, Problem, edge_config, node_config
 from repro.core.speedup import (
     EngineLimitError,
@@ -524,101 +520,3 @@ def is_zero_round_solvable(problem: Problem, orientations: bool = True) -> bool:
     if orientations:
         return zero_round_with_orientations(problem) is not None
     return zero_round_no_input(problem) is not None
-
-
-# -- canonical ---------------------------------------------------------------
-
-
-def _initial_colors(problem: Problem) -> dict[Label, tuple]:
-    colors: dict[Label, tuple] = {}
-    for label in problem.labels:
-        self_pairs = sum(
-            1 for pair in problem.edge_constraint if pair == (label, label)
-        )
-        other_pairs = sum(
-            1
-            for pair in problem.edge_constraint
-            if label in pair and pair[0] != pair[1]
-        )
-        node_profile = Counter(
-            config.count(label)
-            for config in problem.node_constraint
-            if label in config
-        )
-        colors[label] = (self_pairs, other_pairs, tuple(sorted(node_profile.items())))
-    return colors
-
-
-def _refine(problem: Problem) -> dict[Label, int]:
-    seed = _initial_colors(problem)
-    ranked = {sig: rank for rank, sig in enumerate(sorted(set(seed.values())))}
-    color = {label: ranked[seed[label]] for label in problem.labels}
-
-    while True:
-        signatures: dict[Label, tuple] = {}
-        for label in problem.labels:
-            edge_profile = sorted(
-                color[pair[1] if pair[0] == label else pair[0]]
-                for pair in problem.edge_constraint
-                if label in pair
-            )
-            node_profile = sorted(
-                (config.count(label), tuple(sorted(color[x] for x in config)))
-                for config in problem.node_constraint
-                if label in config
-            )
-            signatures[label] = (
-                color[label],
-                tuple(edge_profile),
-                tuple(node_profile),
-            )
-        ranked = {sig: rank for rank, sig in enumerate(sorted(set(signatures.values())))}
-        refined = {label: ranked[signatures[label]] for label in problem.labels}
-        if len(set(refined.values())) == len(set(color.values())):
-            return refined
-        color = refined
-
-
-def _encode(problem: Problem, ordering: tuple[Label, ...]) -> tuple:
-    index = {label: i for i, label in enumerate(ordering)}
-    edges = sorted(
-        (index[a], index[b]) if index[a] <= index[b] else (index[b], index[a])
-        for a, b in problem.edge_constraint
-    )
-    nodes = sorted(tuple(sorted(index[x] for x in config)) for config in problem.node_constraint)
-    return (tuple(edges), tuple(nodes))
-
-
-def canonical_form(problem: Problem) -> CanonicalForm:
-    """The original renaming-invariant canonical form computation."""
-    classes = _refine(problem)
-    groups: list[list[Label]] = [
-        sorted(label for label in problem.labels if classes[label] == cid)
-        for cid in sorted(set(classes.values()))
-    ]
-
-    orderings = 1
-    for group in groups:
-        orderings *= factorial(len(group))
-    work = orderings * (len(problem.edge_constraint) + len(problem.node_constraint) + 1)
-    if orderings > PERMUTATION_BUDGET or work > 4_000_000:
-        ordering = tuple(sorted(problem.labels))
-        parts = ("exact", problem.delta, ordering, _encode(problem, ordering))
-        return CanonicalForm(key="exact:" + _digest(parts), ordering=ordering)
-
-    best_encoding: tuple | None = None
-    best_ordering: tuple[Label, ...] | None = None
-    for combo in product(*(permutations(group) for group in groups)):
-        ordering = tuple(chain.from_iterable(combo))
-        encoding = _encode(problem, ordering)
-        if best_encoding is None or encoding < best_encoding:
-            best_encoding = encoding
-            best_ordering = ordering
-    assert best_ordering is not None and best_encoding is not None
-    parts = ("canon", problem.delta, len(problem.labels), best_encoding)
-    return CanonicalForm(key="canon:" + _digest(parts), ordering=best_ordering)
-
-
-def canonical_hash(problem: Problem) -> str:
-    """The original content-addressed cache key computation."""
-    return canonical_form(problem).key

@@ -32,6 +32,8 @@ import json
 
 import pytest
 
+import repro.core.canonical as canonical
+from repro.core.canonical import CanonicalForm
 from repro.core.certificate import (
     HARDENING,
     SPEEDUP,
@@ -425,6 +427,29 @@ def test_truncated_fixed_point_terminal_rejected(fixed_point_payload):
     mutant = copy.deepcopy(fixed_point_payload)
     del mutant["steps"][-1]
     assert_rejected(mutant, fixed_point_payload)
+
+
+def test_fixed_point_rejects_a_lying_canonicaliser(fixed_point_payload, monkeypatch):
+    """The canonical labelling only proposes the fixed point's map: with
+    the right keys but a wrong ordering, verify() rejects -- a canonicaliser
+    fault can cause a false reject, never a false verify."""
+    certificate = LowerBoundCertificate.from_dict(fixed_point_payload)
+    honest = canonical.canonical_form
+    calls = []
+
+    def lying(problem):
+        form = honest(problem)
+        calls.append(problem)
+        if len(calls) % 2:
+            return form
+        # Every second form keeps its key but rotates its ordering.
+        return CanonicalForm(form.key, form.ordering[1:] + form.ordering[:1])
+
+    monkeypatch.setattr(canonical, "canonical_form", lying)
+    check = certificate.verify()
+    assert calls, "verify() never consulted the canonicaliser"
+    assert not check.valid and check.bound == 0 and not check.unbounded
+    assert any("not isomorphic" in failure for failure in check.failures)
 
 
 def test_every_serialized_field_is_covered(chain_payload):

@@ -71,7 +71,7 @@ def test_parse_reports_line_numbers(tmp_path):
 
 
 def test_speedup_json(sc3_file):
-    from repro.core.isomorphism import are_isomorphic
+    from repro.core.canonical import are_isomorphic
     from repro.core.speedup import SpeedupResult
 
     process = run_cli("speedup", str(sc3_file), "--steps", "1", "--json")

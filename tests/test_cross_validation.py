@@ -131,10 +131,8 @@ def test_simulation_argument_on_petersen(engine, seed):
 
 def _random_problem(rng: random.Random) -> Problem:
     delta = rng.randint(1, 4)
-    # Keep alphabets small enough that canonicalisation never falls back to
-    # the rename-sensitive exact encoding (budget 8! permutations).  Labels
-    # are any whitespace-free tokens not starting with '#' (the comment
-    # marker), per the format's grammar.
+    # Labels are any whitespace-free tokens not starting with '#' (the
+    # comment marker), per the format's grammar.
     alphabet = rng.sample(
         ["0", "1", "a", "b", "x7", "{p}", "q|r", "c#", "zz", "L10"],
         rng.randint(1, 6),
@@ -185,7 +183,7 @@ def test_canonical_hash_invariant_under_renaming_fuzz(seed):
 @pytest.mark.parametrize("seed", range(10))
 def test_speedup_commutes_with_renaming_fuzz(engine, seed):
     """Content-addressed caching is sound: speedup(rename(P)) ~ speedup(P)."""
-    from repro.core.isomorphism import are_isomorphic
+    from repro.core.canonical import are_isomorphic
 
     rng = random.Random(2000 + seed)
     problem = _random_problem(rng)

@@ -5,8 +5,14 @@ implementations verbatim.  These tests run both sides over the full catalog
 and hundreds of seeded random problems and assert *exact* equality of the
 results -- not just isomorphism: the kernel is required to reproduce the
 legacy derivations bit for bit (same derived label names, same meanings,
-same witnesses, same canonical keys), so caches, goldens and downstream
-consumers cannot tell the difference.
+same witnesses), so caches, goldens and downstream consumers cannot tell the
+difference.
+
+Canonical keys have no legacy counterpart: they are checked against their
+definition instead.  A renamed twin shares its problem's key, and the label
+map the two canonical orderings induce passes the independent bijection
+check; among small problems, two share a key exactly when a brute-force
+search over every label bijection finds an isomorphism.
 
 The random problems use clean label names on purpose: for labels containing
 braces or commas the two paths *should* differ (the legacy naming aliases
@@ -15,12 +21,14 @@ distinct sets -- the collision bug the kernel's escaping fixes; see
 """
 
 import random
+from itertools import permutations
 
 import pytest
 
 from edge_relations import assert_behaves_as, legacy_edge_relation
+from twins import assert_twin_shares_key, renamed_twin
 import _legacy
-from repro.core.canonical import canonical_form, canonical_hash
+from repro.core.canonical import canonical_hash
 from repro.core.diagram import merge_equivalent_labels
 from repro.core.problem import Problem
 from repro.core.relaxation import (
@@ -105,12 +113,29 @@ def assert_differential(problem: Problem) -> SpeedupResult | None:
         problem
     )
     assert is_zero_round_solvable(problem) == _legacy.is_zero_round_solvable(problem)
-    legacy_form = _legacy.canonical_form(problem)
-    form = canonical_form(problem)
-    assert form.key == legacy_form.key
-    assert form.ordering == legacy_form.ordering
-    assert canonical_hash(problem) == _legacy.canonical_hash(problem)
+    assert_twin_shares_key(problem)
     return legacy_result
+
+
+def brute_force_isomorphic(first: Problem, second: Problem) -> bool:
+    """Try every label bijection on the string constraints (no engine code)."""
+    if (first.delta, len(first.labels), len(first.edge_constraint), len(first.node_constraint)) != (
+        second.delta, len(second.labels), len(second.edge_constraint), len(second.node_constraint)
+    ):
+        return False
+    source = sorted(first.labels)
+    edges = {tuple(sorted(pair)) for pair in second.edge_constraint}
+    nodes = {tuple(sorted(config)) for config in second.node_constraint}
+    for image in permutations(sorted(second.labels)):
+        rename = dict(zip(source, image))
+        if {
+            tuple(sorted(rename[label] for label in pair)) for pair in first.edge_constraint
+        } == edges and {
+            tuple(sorted(rename[label] for label in config))
+            for config in first.node_constraint
+        } == nodes:
+            return True
+    return False
 
 
 # -- seeded random problems --------------------------------------------------
@@ -122,7 +147,7 @@ def test_kernel_matches_legacy_on_random_problem(seed):
     legacy_result = assert_differential(problem)
     # Derived problems exercise larger alphabets and set-valued names.
     derived = compute_speedup(problem).full
-    assert canonical_hash(derived) == _legacy.canonical_hash(derived)
+    assert_twin_shares_key(derived)
     # The condensed edge relation acts as the string path's set.
     result = compute_speedup(problem)
     reference = legacy_edge_relation(result)
@@ -160,6 +185,38 @@ def test_unsimplified_kernel_matches_legacy_on_random_problem(seed):
         assert kernel_error.value.observed == legacy_error.observed
     else:
         assert compute_speedup(problem, simplify=False) == expected
+
+
+def test_small_keys_match_brute_force_isomorphism():
+    """Among the seeded problems with at most four labels, the problems
+    derived from them and a renamed twin of each, two share a key exactly
+    when they are isomorphic."""
+    problems = []
+    for seed in range(SEED_COUNT):
+        problem = random_problem(seed)
+        problems.append(problem)
+        try:
+            problems.append(compute_speedup(problem).full)
+        except EngineLimitError:
+            pass
+    small = [p for p in problems if len(p.labels) <= 4]
+    small += [renamed_twin(p, seed=index) for index, p in enumerate(small)]
+    # Isomorphism classes by the oracle: one representative per class.
+    representatives: list[Problem] = []
+    klass = []
+    for problem in small:
+        for index, representative in enumerate(representatives):
+            if brute_force_isomorphic(problem, representative):
+                klass.append(index)
+                break
+        else:
+            klass.append(len(representatives))
+            representatives.append(problem)
+    keys = [canonical_hash(problem) for problem in small]
+    key_of_class = {c: k for c, k in zip(klass, keys)}
+    assert all(key_of_class[c] == k for c, k in zip(klass, keys))
+    assert len(set(key_of_class.values())) == len(representatives)
+    assert len(representatives) > 50  # the pool is not degenerate
 
 
 def test_random_problems_are_diverse():

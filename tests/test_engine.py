@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.isomorphism import are_isomorphic
+from repro.core.canonical import are_isomorphic
 from repro.core.speedup import EngineLimitError, compute_speedup
 from repro.engine import Engine, EngineConfig, SpeedupCache, canonical_hash
 from repro.problems.catalog import get_problem

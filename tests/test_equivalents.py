@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.isomorphism import are_isomorphic
+from repro.core.canonical import are_isomorphic
 from repro.core.speedup import half_step
 from repro.problems.superweak import superweak
 from repro.problems.weak_coloring import weak_coloring_pointer

@@ -1,9 +1,43 @@
-"""Tests for problem isomorphism detection."""
+"""Tests for canonical keys and problem isomorphism detection."""
 
-from repro.core.isomorphism import are_isomorphic, find_isomorphism
+import pytest
+
+from twins import assert_twin_shares_key
+from repro.core.canonical import are_isomorphic, find_isomorphism
 from repro.core.problem import Problem
+from repro.core.speedup import compute_speedup
+from repro.problems.catalog import get_problem
 from repro.problems.coloring import coloring
 from repro.problems.sinkless import sinkless_coloring
+
+#: The single-step derivations of the ``derive-cold`` benchmark workload;
+#: their Pi_1 have 2 to 976 labels.
+DERIVE_CASES = [
+    ("sinkless-orientation", 3),
+    ("sinkless-coloring", 5),
+    ("3-coloring", 3),
+    ("mis", 3),
+    ("maximal-matching", 3),
+    ("weak-2-coloring", 3),
+    ("weak-2-coloring", 4),
+    ("superweak-2-coloring", 3),
+    ("4-coloring", 2),
+    ("weak-3-coloring", 2),
+    ("superweak-3-coloring", 2),
+]
+#: The two 976-label Pi_1, a few seconds each.
+HEAVY_CASES = {("weak-3-coloring", 2), ("superweak-3-coloring", 2)}
+
+
+@pytest.mark.parametrize(
+    "name,delta",
+    [
+        pytest.param(name, delta, marks=[pytest.mark.slow] if (name, delta) in HEAVY_CASES else [])
+        for name, delta in DERIVE_CASES
+    ],
+)
+def test_derived_problem_twin_shares_key(name, delta):
+    assert_twin_shares_key(compute_speedup(get_problem(name, delta)).full)
 
 
 def test_identity_isomorphism(sc3):

@@ -49,7 +49,7 @@ def test_coloring_ring_pipeline_hits_the_explosion():
 
 
 def test_relaxer_hook_is_applied_and_verified(sc3):
-    from repro.core.isomorphism import find_isomorphism
+    from repro.core.canonical import find_isomorphism
 
     calls = []
 

@@ -131,7 +131,7 @@ def test_sequence_step_and_elimination_roundtrip(sc3):
 
 
 def test_elimination_roundtrip_with_relaxation_and_witness(sc3):
-    from repro.core.isomorphism import find_isomorphism
+    from repro.core.canonical import find_isomorphism
 
     def relax_to_canonical(problem, step):
         mapping = find_isomorphism(problem.compressed(), sc3.compressed())

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.isomorphism import are_isomorphic
+from repro.core.canonical import are_isomorphic
 from repro.core.relaxation import find_relaxation_map
 from repro.core.speedup import (
     EngineLimitError,

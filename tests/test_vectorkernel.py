@@ -22,7 +22,7 @@ import _legacy
 from repro.core import vectorkernel as vk
 from repro.core.alphabet import intern
 from repro.core.galois import Compatibility
-from repro.core.isomorphism import are_isomorphic
+from repro.core.canonical import canonical_hash
 from repro.core.problem import Problem
 from repro.core.speedup import (
     EngineLimitError,
@@ -500,10 +500,8 @@ def assert_layout_independent(problem: Problem) -> None:
         assert mirrored_error.value.observed == error.observed
         return
     twin = compute_speedup(mirrored)
-    # Not ``canonical_hash``: past its permutation budget it falls back to
-    # a name-exact key, which a renaming changes by design.
-    assert are_isomorphic(twin.half, result.half)
-    assert are_isomorphic(twin.full, result.full)
+    assert canonical_hash(twin.half) == canonical_hash(result.half)
+    assert canonical_hash(twin.full) == canonical_hash(result.full)
 
 
 @pytest.mark.parametrize(

@@ -1,4 +1,4 @@
-# relint: path=src/repro/core/isomorphism.py
+# relint: path=src/repro/core/relaxation.py
 """Same nesting, but not a designated hot kernel module: clean."""
 
 
