@@ -49,6 +49,8 @@ from repro.core.problem import EdgeRelation, Label, Problem
 if TYPE_CHECKING:
     from typing import NewType
 
+    from repro.core.canonical import CanonicalForm
+
     #: A set of labels as an integer bitset over this alphabet's positions.
     LabelMask = NewType("LabelMask", int)
     #: A single bit *position* (0-based index into ``Alphabet.names``).
@@ -197,6 +199,7 @@ class InternedProblem:
         "config_position_masks",
         "_label_configs",
         "_stronger_masks",
+        "_canonical_form",
     )
 
     def __init__(self, problem: Problem):
@@ -253,6 +256,9 @@ class InternedProblem:
         # instance instead of recomputing the quadratic replaceability grid
         # per move (see compute_stronger_masks).
         self._stronger_masks: tuple[LabelMask, ...] | None = None
+        # Canonical-form slot, owned by repro.core.canonical (every cache
+        # and dedup layer keys on it; see canonical_form).
+        self._canonical_form: CanonicalForm | None = None
 
     @property
     def edge_pairs(self) -> frozenset[tuple[LabelIndex, LabelIndex]]:

@@ -255,12 +255,17 @@ def _joins(member: int, tried: list[int], generators: list[list[int]]) -> bool:
 
 
 def canonical_form(problem: Problem) -> CanonicalForm:
-    """Compute the renaming-invariant canonical form of a problem.
+    """Compute the renaming-invariant canonical form of a problem, once per instance.
 
     The cosmetic ``name`` field is deliberately excluded: two copies of the
-    same structure under different display names are the same content.
+    same structure under different display names are the same content.  The
+    form is memoised on the interned view, so every layer keying on it asks
+    here instead of being handed the key; a pickled or ``from_dict`` copy is
+    a new instance and hashes once again.
     """
     interned = intern(problem)
+    if interned._canonical_form is not None:
+        return interned._canonical_form
     search = _Search(interned)
     size, count = search.size, len(search.configs)
     cells = [0] * (size + count)
@@ -276,10 +281,11 @@ def canonical_form(problem: Problem) -> CanonicalForm:
     assert search.best is not None
     parts = (problem.delta, size, *search.best)
     names = interned.alphabet.names
-    return CanonicalForm(
+    interned._canonical_form = CanonicalForm(
         key=CanonicalHash(_PREFIX + sha256(repr(parts).encode()).hexdigest()),
         ordering=tuple(names[label] for label in search.best_order),
     )
+    return interned._canonical_form
 
 
 def canonical_hash(problem: Problem) -> CanonicalHash:

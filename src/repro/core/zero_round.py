@@ -47,6 +47,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from repro.core.alphabet import InternedProblem, intern, iter_bits
+from repro.core.canonical import canonical_hash
 from repro.core.galois import Compatibility
 from repro.core.problem import NodeConfig, Problem
 from repro.utils.jsonio import JsonStore
@@ -467,16 +468,9 @@ class ZeroRoundMemo:
         self.misses = 0
 
     @staticmethod
-    def key_from_hash(problem_hash: str, orientations: bool) -> str:
-        """Compose the memo key from an already-computed canonical hash."""
-        return ("orientations:" if orientations else "no-input:") + problem_hash
-
-    @staticmethod
     def key_for(problem: Problem, orientations: bool) -> str:
         """The memo key: input setting plus canonical problem hash."""
-        from repro.core.canonical import canonical_hash
-
-        return ZeroRoundMemo.key_from_hash(canonical_hash(problem), orientations)
+        return ("orientations:" if orientations else "no-input:") + canonical_hash(problem)
 
     @staticmethod
     def _decode(key: str, envelope: dict[str, Any]) -> bool | None:
@@ -513,22 +507,23 @@ class ZeroRoundMemo:
         """
         self.entries.put(key, bool(solvable))
 
-    def check(
-        self, problem: Problem, orientations: bool = True, *, key: str | None = None
-    ) -> bool:
-        """Memoised :func:`is_zero_round_solvable`.
+    def verdict(self, problem: Problem, orientations: bool = True) -> tuple[bool, bool]:
+        """``(solvable, memo_hit)``: memoised :func:`is_zero_round_solvable`.
 
-        Callers that already hold the canonical hash (the search driver
-        dedups candidates by it) pass the composed ``key`` to skip the
-        hashing; it must equal ``key_for(problem, orientations)``.
+        ``memo_hit`` lets a search count its own hits exactly, which the
+        memo's global counter cannot under concurrent workloads.
         """
-        if key is None:
-            key = self.key_for(problem, orientations)
-        verdict = self.lookup(key)
-        if verdict is None:
-            verdict = is_zero_round_solvable(problem, orientations=orientations)
-            self.store(key, verdict)
-        return verdict
+        key = self.key_for(problem, orientations)
+        solvable = self.lookup(key)
+        if solvable is not None:
+            return solvable, True
+        solvable = is_zero_round_solvable(problem, orientations=orientations)
+        self.store(key, solvable)
+        return solvable, False
+
+    def check(self, problem: Problem, orientations: bool = True) -> bool:
+        """Memoised :func:`is_zero_round_solvable` (the verdict alone)."""
+        return self.verdict(problem, orientations)[0]
 
     def clear(self) -> None:
         with self._lock:

@@ -168,10 +168,11 @@ class SpeedupCache:
     ``acquire`` (the engine's single-flight hot path) and ``probe`` (batch
     dispatchers, which account misses themselves) return ``(result, form,
     key)`` -- the translated result on a hit, else ``None`` plus the
-    canonical form and key to pass back to ``store`` after computing (so
-    canonicalisation runs once per call).  A ``None`` from ``acquire`` makes
-    the caller the key's leader, obliged to call ``store`` (on success) or
-    ``abandon`` (on failure) so waiters wake.
+    canonical form and key to pass back to ``store`` after computing (the
+    form is memoised per instance anyway; perfbench's ``acquire`` hook reads
+    the tuple).  A ``None`` from ``acquire`` makes the caller the key's
+    leader, obliged to call ``store`` (on success) or ``abandon`` (on
+    failure) so waiters wake.
     """
 
     def __init__(

@@ -333,19 +333,25 @@ class Engine:
 
     # -- pipelines -----------------------------------------------------------
 
-    def zero_round_solvable(self, problem: Problem, *, key: str | None = None) -> bool:
-        """0-round solvability in the engine's input setting, memoised.
+    def zero_round_verdict(self, problem: Problem) -> tuple[bool, bool]:
+        """``(solvable, memo_hit)`` in the engine's input setting, memoised.
 
         Verdicts are shared through the engine's :class:`ZeroRoundMemo`
         (canonical-hash keyed, so renamed twins hit) across calls, search
-        branches, and worker threads; ``key`` lets callers that already
-        computed the memo key skip the canonical hashing.  Falls back to the
-        uncached decision procedures when the memo is disabled.
+        branches, and worker threads.  Falls back to the uncached decision
+        procedures when the memo is disabled.
         """
         orientations = self._config.orientations
         if self._zero_round_memo is None:
-            return is_zero_round_solvable(problem, orientations=orientations)
-        return self._zero_round_memo.check(problem, orientations, key=key)
+            return is_zero_round_solvable(problem, orientations=orientations), False
+        return self._zero_round_memo.verdict(problem, orientations)
+
+    def zero_round_solvable(self, problem: Problem) -> bool:
+        """The bool of :meth:`zero_round_verdict`; with a memo it is asked
+        through :meth:`ZeroRoundMemo.check`, which perfbench's trace wraps."""
+        if self._zero_round_memo is None:
+            return self.zero_round_verdict(problem)[0]
+        return self._zero_round_memo.check(problem, self._config.orientations)
 
     def _witness_for(self, problem: Problem) -> ZeroRoundWitness | None:
         # Deliberately unmemoised: a pipeline sees each problem once, so the

@@ -147,9 +147,10 @@ class ExpandOption:
 
     ``move`` is ``None`` for the derived problem itself, else the relaxation
     move that produced the candidate.  ``key`` is the canonical hash of the
-    candidate's compressed form; ``solvable`` is its memoised 0-round
-    verdict; ``memo_hit`` records whether the executing engine's memo
-    already held it (the search's local stats consume this).
+    candidate's compressed form (a process worker's problems arrive without
+    their memoised form); ``solvable`` is its memoised 0-round verdict;
+    ``memo_hit`` records whether the executing engine's memo already held
+    it (the search's local stats consume this).
     """
 
     move: "RelaxationMove | None"

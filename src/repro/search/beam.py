@@ -14,8 +14,7 @@ machinery, and lives here:
   fault-plan abort;
 * :class:`BeamState` -- a partial certificate;
 * :class:`Counters` -- the mutable tally behind a direction's frozen stats;
-* :class:`Checkpoint` -- the resume file under ``cache_dir/checkpoints/``;
-* :func:`zero_round_verdict` -- the memoised 0-round decision.
+* :class:`Checkpoint` -- the resume file under ``cache_dir/checkpoints/``.
 
 A direction is a :class:`BeamPolicy`: the expansion task it ships to the
 executor, how an evaluated payload becomes candidates or a terminal result,
@@ -37,7 +36,6 @@ if TYPE_CHECKING:
 from repro.core.canonical import canonical_hash
 from repro.core.certificate import CertificateStep
 from repro.core.problem import Problem
-from repro.core.zero_round import ZeroRoundMemo, is_zero_round_solvable
 from repro.engine.executor import Task
 from repro.engine.resilience import TaskFailure
 from repro.utils.jsonio import atomic_write_json, load_json, sweep_stale_tmp_files
@@ -48,27 +46,6 @@ R = TypeVar("R")
 #: (both directions; the ``search_`` / ``chase_`` filename prefixes keep
 #: them apart).
 CHECKPOINT_VERSION = 1
-
-
-def zero_round_verdict(engine: Engine, problem: Problem, key: str) -> tuple[bool, bool]:
-    """``(solvable, memo_hit)`` for a compressed problem with canonical hash ``key``.
-
-    0-round solvability is invariant under compression (every witness uses
-    only usable labels), so callers pass the compressed form, whose hash
-    doubles as the search's dedup key.  The memo is shared engine-wide,
-    so its global hit counter would attribute concurrent workloads to this
-    search; ``memo_hit`` lets the caller count its own hits exactly.
-    """
-    orientations = engine.config.orientations
-    memo = engine.zero_round_memo
-    memo_key = ZeroRoundMemo.key_from_hash(key, orientations)
-    verdict = None if memo is None else memo.lookup(memo_key)
-    if verdict is not None:
-        return verdict, True
-    verdict = is_zero_round_solvable(problem, orientations=orientations)
-    if memo is not None:
-        memo.store(memo_key, verdict)
-    return verdict, False
 
 
 @dataclass(frozen=True)
@@ -145,8 +122,12 @@ class BeamPolicy(ABC, Generic[R]):
         self.counters = Counters(self.stat_names)
 
     @abstractmethod
-    def root_result(self, root: BeamState) -> R | None:
-        """The result when the root itself is terminal, else None."""
+    def root_result(self, root: BeamState, compressed: Problem) -> R | None:
+        """The result when the root itself is terminal, else None.
+
+        ``compressed`` is the root problem's compressed form, the instance
+        whose canonical key is the chain's first.
+        """
 
     @abstractmethod
     def task(self, state: BeamState) -> Task:
@@ -191,7 +172,7 @@ class Checkpoint:
         }
         self.path: Path | None = None
         if enabled and config.cache_dir is not None:
-            # Root keys carry a "canon:" scheme prefix; keep filenames portable.
+            # Root keys carry a "canon2:" scheme prefix; keep filenames portable.
             name = f"{policy.prefix}_{root_key.replace(':', '_')}.json"
             path = self.path = Path(config.cache_dir) / "checkpoints" / name
             path.parent.mkdir(parents=True, exist_ok=True)
@@ -315,11 +296,12 @@ def beam_search(
         raise ValueError(
             f"beam_width and budget must be positive, {policy.fanout_name} >= 0"
         )
-    root_key = canonical_hash(policy.problem.compressed())
+    compressed = policy.problem.compressed()
+    root_key = canonical_hash(compressed)
     root = BeamState(policy.problem, (), (root_key,))
     store = Checkpoint(policy, root_key, max_steps, enabled=checkpoint or resume)
 
-    terminal = policy.root_result(root)
+    terminal = policy.root_result(root, compressed)
     if terminal is not None:
         store.discard()
         return terminal

@@ -19,8 +19,9 @@ derived problem itself plus every certified relaxation move of it
 * a candidate that is 0-round solvable is discarded (relaxing that far
   destroys the lower bound); the verdicts are memoised cross-branch through
   the engine's :class:`~repro.core.zero_round.ZeroRoundMemo`, keyed on the
-  canonical hashes the dedup already computes, so renamed twins reached by
-  different branches decide once;
+  candidate's canonical form -- the one the dedup uses, computed once per
+  problem instance -- so renamed twins reached by different branches
+  decide once;
 * surviving candidates are deduplicated by canonical hash and scored by
   description size (small problems are exactly what Section 2.1's relaxation
   technique exists to reach), and the best ``beam_width`` become the next
@@ -59,7 +60,7 @@ from repro.core.problem import Problem
 from repro.core.speedup import EngineLimitError
 from repro.engine.engine import get_default_engine
 from repro.engine.executor import ExpandOption, ExpandPayload, ExpandTask
-from repro.search.beam import BeamPolicy, BeamState, beam_search, zero_round_verdict
+from repro.search.beam import BeamPolicy, BeamState, beam_search
 from repro.search.moves import RelaxationMove, generate_moves
 
 KIND_TRIVIAL = "trivial"
@@ -184,9 +185,11 @@ def execute_expand_task(engine: Engine, task: ExpandTask) -> ExpandPayload:
     moves = tuple(generate_moves(result.full, max_moves=moves_cap))
 
     def evaluate(target: Problem, move: RelaxationMove | None) -> ExpandOption:
+        # 0-round solvability is invariant under compression (every witness
+        # uses only usable labels): verdict and dedup key share one instance.
         compressed = target.compressed()
         key = canonical_hash(compressed)
-        solvable, memo_hit = zero_round_verdict(engine, compressed, key)
+        solvable, memo_hit = engine.zero_round_verdict(compressed)
         return ExpandOption(move, key, solvable, memo_hit)
 
     options = [evaluate(result.full, None)]
@@ -222,12 +225,10 @@ class _LowerBound(BeamPolicy[SearchResult]):
         stats = SearchStats(**self.counters.counts())
         return SearchResult(self.problem, kind, certificate, stats)
 
-    def root_result(self, root: BeamState) -> SearchResult | None:
+    def root_result(self, root: BeamState, compressed: Problem) -> SearchResult | None:
         # The root is checked and memoised on its compressed form like every
-        # other candidate, and its canonical hash is the chain's first key.
-        solvable, memo_hit = zero_round_verdict(
-            self.engine, self.problem.compressed(), root.chain_keys[0]
-        )
+        # other candidate.
+        solvable, memo_hit = self.engine.zero_round_verdict(compressed)
         self.counters.add_zero_round(memo_hit)
         return self._result(KIND_TRIVIAL) if solvable else None
 

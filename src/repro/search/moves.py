@@ -72,14 +72,16 @@ ADDARROW = "addarrow"
 MERGE = "merge"
 HARDEN = "harden"
 
-# Above this description size, a single canonical hash of a move target
-# costs more than the rest of move generation combined (a 976-label Pi_1
-# carries ~373k edge pairs; hashing one such target takes seconds), so the
-# rename-twin dedup and the redundant string-level re-certification are
-# skipped for huge problems.  The exact-signature dedup and the mask-level
-# soundness gate always run; the search driver canonically dedups its beam
-# candidates anyway, so a rename-twin slipping through costs a slot, never
-# soundness.
+# Above this description size, the rename-twin dedup and the redundant
+# string-level re-certification are skipped.  Measured on a 2-vCPU host on
+# the 976-label weak-3-coloring Pi_1 (size 747,838): ``generate_moves(
+# max_moves=24)`` takes 28-30 s without them; hashing its 24 targets would
+# add about 20 s (0.5-0.8 s each: a target is frozenset-backed, so interning
+# rebuilds the adjacency from ~373k string pairs, while the mask-backed Pi_1
+# itself hashes in 0.22-0.27 s) and the re-certification about 7 s more.
+# The exact-signature dedup and the mask-level soundness gate always run;
+# the search driver canonically dedups its beam candidates anyway, so a
+# rename-twin slipping through costs a slot, never soundness.
 _EXPENSIVE_TARGET_SIZE = 50_000
 
 #: Relaxation move kinds in generation order.

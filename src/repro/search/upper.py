@@ -67,14 +67,10 @@ from repro.core.certificate import (
 )
 from repro.core.problem import Problem
 from repro.core.speedup import EngineLimitError
-from repro.core.zero_round import (
-    ZeroRoundMemo,
-    zero_round_no_input,
-    zero_round_with_orientations,
-)
+from repro.core.zero_round import zero_round_no_input, zero_round_with_orientations
 from repro.engine.engine import get_default_engine
 from repro.engine.executor import ChaseOption, ChasePayload, ChaseTask
-from repro.search.beam import BeamPolicy, BeamState, beam_search, zero_round_verdict
+from repro.search.beam import BeamPolicy, BeamState, beam_search
 from repro.search.moves import RelaxationMove, generate_hardenings
 
 KIND_UPPER_BOUND = "upper-bound"
@@ -161,10 +157,10 @@ def execute_chase_task(engine: Engine, task: ChaseTask) -> ChasePayload:
 
     The backend-side half of the chase (:class:`~repro.engine.executor.
     ChaseTask`): the state's own problem and each hardening restriction get
-    one speedup derivation, and every successfully *derived* problem gets a
-    compressed canonical hash plus a memoised 0-round decision
-    (:func:`~repro.search.beam.zero_round_verdict`, as in
-    :func:`repro.search.driver.execute_expand_task`).  Size-guard trips come
+    one speedup derivation, and every successfully *derived* problem's
+    compressed form gets its canonical hash and a memoised 0-round decision
+    (:meth:`~repro.engine.engine.Engine.zero_round_verdict`), as in
+    :func:`repro.search.driver.execute_expand_task`.  Size-guard trips come
     back as per-option ``limit_hit`` records (the other options of the same
     expansion are unaffected -- a hardened target can blow past the caps its
     sibling stays under).
@@ -181,7 +177,7 @@ def execute_chase_task(engine: Engine, task: ChaseTask) -> ChasePayload:
             )
         compressed = result.full.compressed()
         key = canonical_hash(compressed)
-        solvable, memo_hit = zero_round_verdict(engine, compressed, key)
+        solvable, memo_hit = engine.zero_round_verdict(compressed)
         return ChaseOption(
             move, result, limit_hit=False, key=key, solvable=solvable, memo_hit=memo_hit
         )
@@ -226,7 +222,7 @@ class _UpperBound(BeamPolicy[ChaseResult]):
         )
         return self._result(KIND_UPPER_BOUND, certificate)
 
-    def root_result(self, root: BeamState) -> ChaseResult | None:
+    def root_result(self, root: BeamState, compressed: Problem) -> ChaseResult | None:
         # The root check is the witness computation itself: a solvable root
         # is a 0-step certificate, and the witness must exist for the
         # uncompressed problem anyway.  The boolean still lands in the shared
@@ -236,8 +232,7 @@ class _UpperBound(BeamPolicy[ChaseResult]):
         memo = self.engine.zero_round_memo
         if memo is not None:
             orientations = self.engine.config.orientations
-            memo_key = ZeroRoundMemo.key_from_hash(root.chain_keys[0], orientations)
-            memo.store(memo_key, outcome is not None)
+            memo.store(memo.key_for(compressed, orientations), outcome is not None)
         return outcome
 
     def task(self, state: BeamState) -> ChaseTask:

@@ -125,6 +125,55 @@ def test_exhausted_chase_leaves_bracket_open(engine):
     assert bracket.describe().endswith("?] open")
 
 
+def _lower_stats(speedups, states, candidates, pruned, checks, hits):
+    return {
+        "speedup_calls": speedups,
+        "states_expanded": states,
+        "candidates_generated": candidates,
+        "duplicates_pruned": 0,
+        "zero_round_pruned": pruned,
+        "limit_hits": 0,
+        "zero_round_checks": checks,
+        "zero_round_memo_hits": hits,
+        "task_failures": 0,
+    }
+
+
+def _upper_stats(speedups, states, candidates, checks, hits):
+    return {
+        "speedup_calls": speedups,
+        "states_expanded": states,
+        "candidates_generated": candidates,
+        "duplicates_pruned": 0,
+        "hardenings_generated": 0,
+        "limit_hits": 0,
+        "zero_round_checks": checks,
+        "zero_round_memo_hits": hits,
+        "task_failures": 0,
+    }
+
+
+@pytest.mark.parametrize(
+    "name,delta,max_steps,lower,upper",
+    [
+        ("indegree-handshake", 2, 3, _lower_stats(1, 1, 1, 11, 2, 0), _upper_stats(1, 1, 1, 2, 1)),
+        ("sinkless-orientation", 3, 4, _lower_stats(2, 2, 5, 3, 5, 0), None),
+        ("mis", 3, 2, _lower_stats(5, 5, 77, 106, 78, 1), _upper_stats(2, 2, 2, 3, 2)),
+    ],
+)
+def test_classify_stats_are_pinned(name, delta, max_steps, lower, upper):
+    """Where the 0-round memo is asked and by which key moves none of the
+    search counters: checks, memo hits and dedup prunes stay as recorded.
+    Serial, because process workers of one batch do not share memo hits."""
+    engine = Engine(
+        EngineConfig(executor="serial", max_derived_labels=2_000, max_candidate_configs=50_000)
+    )
+    result = engine.classify(get_problem(name, delta), max_steps=max_steps)
+    assert result.lower_result.stats.to_dict() == lower
+    upper_result = result.upper_result
+    assert (None if upper_result is None else upper_result.stats.to_dict()) == upper
+
+
 # -- bracket construction and deserialization gates ----------------------------
 
 

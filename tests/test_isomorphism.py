@@ -1,11 +1,16 @@
 """Tests for canonical keys and problem isomorphism detection."""
 
+import random
+from collections import Counter
+
 import pytest
 
-from twins import assert_twin_shares_key
+from twins import assert_twin_shares_key, renamed_twin
+from repro.core import canonical
 from repro.core.canonical import are_isomorphic, find_isomorphism
 from repro.core.problem import Problem
 from repro.core.speedup import compute_speedup
+from repro.engine import Engine, EngineConfig
 from repro.problems.catalog import get_problem
 from repro.problems.coloring import coloring
 from repro.problems.sinkless import sinkless_coloring
@@ -96,3 +101,36 @@ def test_self_loop_edge_config_distinguishes():
     first = Problem.make("p", 2, [("a", "b")], [("a", "b")])
     second = Problem.make("q", 2, [("a", "a")], [("a", "b")])
     assert not are_isomorphic(first, second)
+
+
+def _random_delta2(seed: int) -> Problem:
+    rng = random.Random(seed)
+    labels = ["a", "b", "c", "d"][: rng.randint(3, 4)]
+    edges = {tuple(sorted(rng.choices(labels, k=2))) for _ in range(4)}
+    nodes = {tuple(sorted(rng.choices(labels, k=2))) for _ in range(4)}
+    return Problem.make(f"random-{seed}", 2, edges, nodes, labels=labels)
+
+
+def test_classify_and_verify_canonicalise_each_instance_once(monkeypatch):
+    """The speedup cache, the 0-round memo, beam dedup, the revisit test and
+    verify() all key on one canonical form per problem instance: no
+    instance runs the canonical-labelling search twice."""
+    searches: Counter[int] = Counter()
+    searched = []  # keeps every counted view alive, so no id is reused
+    search = canonical._Search
+
+    def counting(interned):
+        searches[id(interned)] += 1
+        searched.append(interned)
+        return search(interned)
+
+    monkeypatch.setattr(canonical, "_Search", counting)
+    engine = Engine(
+        EngineConfig(executor="serial", max_derived_labels=2_000, max_candidate_configs=50_000)
+    )
+    # Seed 7 classifies [3, ?] open, so both search directions run.
+    problems = (get_problem("3-coloring", 2), get_problem("mis", 3), renamed_twin(_random_delta2(7)))
+    for problem in problems:
+        assert engine.classify(problem, max_steps=2).bracket.verify().valid
+    repeated = sum(1 for count in searches.values() if count > 1)
+    assert searches and not repeated, f"{repeated} of {len(searches)} instances hashed twice"

@@ -26,6 +26,7 @@ from dataclasses import fields
 import pytest
 
 from repro.core.alphabet import InternedProblem, intern
+from repro.core.canonical import canonical_form
 from repro.core.problem import Problem
 from repro.core.speedup import speedup
 from repro.engine import Engine
@@ -60,8 +61,12 @@ def test_problem_pickle_excludes_interned_cache() -> None:
     cold = len(pickle.dumps(problem))
     intern(problem)
     _ = problem.description_size
+    form = canonical_form(problem)
     warm = len(pickle.dumps(problem))
-    assert warm == cold, "interned view leaked into the pickle"
+    assert warm == cold, "interned view or canonical form leaked into the pickle"
+    clone = pickle.loads(pickle.dumps(problem))
+    assert "_interned" not in clone.__dict__
+    assert canonical_form(clone) == form
 
 
 def test_interned_problem_roundtrip() -> None:
