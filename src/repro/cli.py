@@ -419,8 +419,8 @@ def build_parser() -> argparse.ArgumentParser:
             "--backend",
             choices=EXECUTOR_NAMES,
             help="execution backend for batch fan-out: serial (default; or "
-            "set REPRO_EXECUTOR), thread, or process (true parallelism for "
-            "CPU-heavy batches)",
+            "set REPRO_EXECUTOR) or process (true parallelism for CPU-heavy "
+            "batches)",
         )
         p.add_argument(
             "--workers",

@@ -445,7 +445,7 @@ class ZeroRoundMemo:
     (:func:`repro.core.canonical.canonical_hash`) plus the input setting, so
     renamed twins hit and the verdict is shared across branches, searches,
     and -- through the engine, which owns one instance next to its speedup
-    cache -- worker threads.
+    cache -- caller threads.
 
     Storage is the shared :class:`repro.utils.jsonio.JsonStore`
     (:attr:`entries`), the same one under the speedup cache: thread-safe, an

@@ -10,24 +10,23 @@ by the two canonical orderings yields exactly the result the derivation
 would have produced (up to the arbitrary short names of the derived
 alphabet, which are kept as stored).
 
-The cache is thread-safe (the batch APIs share it across a worker pool) and
+The cache is thread-safe (an engine may be shared across caller threads) and
 optionally persistent: with a ``directory``, every stored entry is written as
 one JSON file named by the key's digest, and misses consult the directory
 before recomputing, so warm starts survive process boundaries.  The LRU, the
 files, temp-file sweeping, ``store_failures`` and delta recording are the
 shared :class:`repro.utils.jsonio.JsonStore` (:attr:`SpeedupCache.entries`);
-this module adds the canonical keys, hit translation, freezing, the
-single-flight latches and the meters, and decodes a file only when its
-stored original re-keys to the requested key.
+this module adds the canonical keys, hit translation, freezing and the
+meters, and decodes a file only when its stored original re-keys to the
+requested key.
 
-Concurrent misses on one canonical key are *single-flighted*: the first
-caller of :meth:`SpeedupCache.acquire` becomes the key's leader and
-derives; every other caller blocks on the key's in-flight latch and, once
-the leader stores, retries the lookup and receives the stored result
-translated into its own label space.  Without this, two threads missing on
-renamed twins both ran the full derivation -- the thundering herd that made
-``speedup_many`` nondeterministic about *which* twin's derivation got
-cached.
+Misses are not coalesced in-process: caller threads that miss on one
+canonical key at the same time each derive, and the derivation being
+deterministic, they store results equal up to label renaming (the last
+store wins).  Coalescing
+lives where it pays -- the process backend's parent-side dispatcher
+(:func:`repro.engine.executor.speedup_batch`), which sends one task per
+missed key and counts the rest as ``coalesced``.
 
 Keys are computed by the canonical labelling of :mod:`repro.core.canonical`
 over the interned bitmask view (:mod:`repro.core.alphabet`); entries filed
@@ -39,8 +38,8 @@ for problems whose user labels contain braces or commas.
 
 For the Amdahl accounting the process-pool backend needs
 (:mod:`repro.engine.executor`), the cache meters its serial components:
-time spent canonicalising requests, waiting for the cache lock, and waiting
-on in-flight latches (:meth:`SpeedupCache.concurrency_stats`).  Worker
+time spent canonicalising requests and waiting for the cache lock
+(:meth:`SpeedupCache.concurrency_stats`).  Worker
 processes record on :attr:`SpeedupCache.entries`, so every insert is
 captured as a ``(key, CacheEntry)`` delta the parent merges back with
 :meth:`merge`.
@@ -49,7 +48,6 @@ captured as a ``(key, CacheEntry)`` delta the parent merges back with
 from __future__ import annotations
 
 import dataclasses
-import threading
 import time
 from pathlib import Path
 from types import MappingProxyType
@@ -59,24 +57,7 @@ from repro.core.alphabet import set_label_name
 from repro.core.canonical import CanonicalForm, canonical_form
 from repro.core.problem import Problem
 from repro.core.speedup import SpeedupResult
-from repro.engine.resilience import LATCH_PROBE_S
 from repro.utils.jsonio import JsonStore
-
-
-class _InFlight:
-    """One key's in-flight derivation: the latch and the thread deriving it.
-
-    Tracking the leader *thread object* (never its reusable ident) lets
-    waiters detect a leader that died without calling ``store``/``abandon``
-    -- a killed worker thread, an ``os._exit`` mid-derivation -- and take
-    over instead of blocking forever on an Event nobody will ever set.
-    """
-
-    __slots__ = ("event", "leader")
-
-    def __init__(self) -> None:
-        self.event = threading.Event()
-        self.leader = threading.current_thread()
 
 
 class CacheEntry(NamedTuple):
@@ -165,14 +146,11 @@ def _translate(
 class SpeedupCache:
     """Thread-safe LRU memo cache for speedup derivations.
 
-    ``acquire`` (the engine's single-flight hot path) and ``probe`` (batch
-    dispatchers, which account misses themselves) return ``(result, form,
-    key)`` -- the translated result on a hit, else ``None`` plus the
-    canonical form and key to pass back to ``store`` after computing (the
-    form is memoised per instance anyway; perfbench's ``acquire`` hook reads
-    the tuple).  A ``None`` from ``acquire`` makes the caller the key's
-    leader, obliged to call ``store`` (on success) or ``abandon`` (on
-    failure) so waiters wake.
+    ``acquire`` (the engine's hot path) and ``probe`` (batch dispatchers,
+    which account misses themselves) return ``(result, form, key)`` -- the
+    translated result on a hit, else ``None`` plus the canonical form and
+    key to pass back to ``store`` after computing (the form is memoised per
+    instance anyway; perfbench's ``acquire`` hook reads the tuple).
     """
 
     def __init__(
@@ -196,11 +174,8 @@ class SpeedupCache:
         self.hits = 0
         self.misses = 0
         self.coalesced = 0
-        self.latch_recoveries = 0
-        self._inflight: dict[str, _InFlight] = {}
         self._canonical_s = 0.0
         self._lock_wait_s = 0.0
-        self._coalesce_wait_s = 0.0
 
     # -- keying --------------------------------------------------------------
 
@@ -260,85 +235,28 @@ class SpeedupCache:
     def acquire(
         self, problem: Problem, simplify: bool
     ) -> tuple[SpeedupResult | None, CanonicalForm, str]:
-        """Single-flight lookup: miss means *this caller derives*.
+        """Look ``problem`` up for a caller that derives on a miss.
 
-        On a hit, behaves like :meth:`probe`.  On a miss with no derivation
-        of the key in flight, registers the caller as the key's leader
-        (counted as the one true miss) and returns ``None`` -- the caller
-        MUST then call :meth:`store` on success or :meth:`abandon` on
-        failure.  If another caller is already deriving the key, blocks on
-        the in-flight latch (counted as ``coalesced``), then retries: the
-        usual outcome is a translated hit on the leader's stored result; if
-        the leader abandoned, the waiter inherits leadership.
-
-        Waiting is crash-safe: a waiter re-probes the latch every
-        ``LATCH_PROBE_S`` seconds and, when the leader thread has died
-        without ever releasing (a killed worker thread -- the one way
-        ``store``/``abandon`` can be skipped), clears the dead flight
-        (counted as a ``latch_recovery``) and retries -- inheriting
-        leadership instead of blocking forever.
+        Like :meth:`probe`, but a miss counts: the caller is expected to
+        derive and :meth:`store` the result.
         """
         form, key = self._canonicalize(problem, simplify)
-        while True:
-            entry = self.entries.get(key)
-            wait_on: _InFlight | None = None
-            start = time.perf_counter()
-            with self._lock:
-                self._lock_wait_s += time.perf_counter() - start
-                if entry is not None:
-                    self.hits += 1
-                else:
-                    flight = self._inflight.get(key)
-                    if flight is None:
-                        self._inflight[key] = _InFlight()
-                        self.misses += 1
-                        return None, form, key
-                    wait_on = flight
-                    self.coalesced += 1
-            if wait_on is None:
-                assert entry is not None
-                return _translate(entry, problem, form, simplify), form, key
-            start = time.perf_counter()
-            while not wait_on.event.wait(timeout=LATCH_PROBE_S):
-                if wait_on.leader.is_alive():
-                    continue  # leader still deriving, keep waiting
-                with self._lock:
-                    # First detector clears the dead flight; every other
-                    # waiter falls through and retries against whatever
-                    # state (new leader, stored entry) exists by then.
-                    if self._inflight.get(key) is wait_on:
-                        del self._inflight[key]
-                        self.latch_recoveries += 1
-                break
-            waited = time.perf_counter() - start
-            with self._lock:
-                self._coalesce_wait_s += waited
-
-    def _release(self, key: str) -> None:
-        """Wake every waiter on ``key``'s in-flight latch, if any."""
+        entry = self.entries.get(key)
+        start = time.perf_counter()
         with self._lock:
-            flight = self._inflight.pop(key, None)
-        if flight is not None:
-            flight.event.set()
-
-    def abandon(self, key: str) -> None:
-        """Give up leadership of ``key`` (the derivation failed).
-
-        Waiters wake, find neither an entry nor a flight, and take over as
-        leaders -- for the deterministic failures the engine raises
-        (:class:`~repro.core.limits.EngineLimitError`), each then fails the
-        same way, which is exactly the sequential behaviour.
-        """
-        self._release(key)
+            self._lock_wait_s += time.perf_counter() - start
+            if entry is None:
+                self.misses += 1
+                return None, form, key
+            self.hits += 1
+        return _translate(entry, problem, form, simplify), form, key
 
     def store(
         self, key: str, form: CanonicalForm, result: SpeedupResult
     ) -> SpeedupResult:
         """Store a freshly computed result: :meth:`merge`, then write its file.
 
-        Returns the frozen shared copy.  Merging releases the key's in-flight
-        latch (``store`` doubles as the leader's success path), so waiters
-        coalesced on :meth:`acquire` wake into a hit.
+        Returns the frozen shared copy.
         """
         frozen = self.merge(key, form, result)
         self.entries.persist(key, CacheEntry(form, frozen))
@@ -349,13 +267,10 @@ class SpeedupCache:
 
         No hit/miss accounting and no disk write: when a cache directory is
         configured the worker shares it and has already persisted the entry.
-        Returns the frozen shared copy now serving hits.  Releases any
-        in-flight latch on the key, so thread-side waiters coalesce onto
-        merged process results too.
+        Returns the frozen shared copy now serving hits.
         """
         entry = CacheEntry(form, _freeze(result))
         self.entries.put(key, entry)
-        self._release(key)
         return entry.result
 
     def note_dispatched_miss(self) -> None:
@@ -374,10 +289,8 @@ class SpeedupCache:
             self.hits = 0
             self.misses = 0
             self.coalesced = 0
-            self.latch_recoveries = 0
             self._canonical_s = 0.0
             self._lock_wait_s = 0.0
-            self._coalesce_wait_s = 0.0
 
     def stats(self) -> dict[str, int]:
         with self._lock:
@@ -389,19 +302,17 @@ class SpeedupCache:
             }
 
     def concurrency_stats(self) -> dict[str, float]:
-        """Single-flight counters and the metered serial components.
+        """The coalescing counter and the metered serial components.
 
-        ``coalesced`` counts requests that waited on another caller's
-        in-flight derivation; the ``*_s`` figures are cumulative seconds of
-        canonicalisation, cache-lock waiting, and latch waiting -- the
-        serial fraction the Amdahl accounting in
+        ``coalesced`` counts batch requests resolved from another request's
+        dispatched derivation (:meth:`note_coalesced`); the ``*_s`` figures
+        are cumulative seconds of canonicalisation and cache-lock waiting --
+        the serial fraction the Amdahl accounting in
         :mod:`repro.engine.executor` reports per batch.
         """
         with self._lock:
             return {
                 "coalesced": float(self.coalesced),
-                "latch_recoveries": float(self.latch_recoveries),
                 "canonical_s": self._canonical_s,
                 "lock_wait_s": self._lock_wait_s,
-                "coalesce_wait_s": self._coalesce_wait_s,
             }

@@ -4,7 +4,7 @@ Historically the derivation limits were module constants in
 :mod:`repro.core.speedup` and the pipeline flags were per-call keyword
 arguments of ``run_round_elimination``.  :class:`EngineConfig` gathers all of
 them in one immutable object so an :class:`repro.engine.Engine` can be
-configured once and reused across calls, batches, and worker threads.
+configured once and reused across calls, batches, and caller threads.
 """
 
 from __future__ import annotations
@@ -20,17 +20,16 @@ from repro.engine.faultinject import parse_fault_plan
 from repro.engine.resilience import RetryPolicy
 
 #: Execution backends the batch APIs accept (see :mod:`repro.engine.executor`).
-EXECUTOR_NAMES: tuple[str, ...] = ("serial", "thread", "process")
+EXECUTOR_NAMES: tuple[str, ...] = ("serial", "process")
 
 
 def _default_executor() -> str:
     """The default backend: ``REPRO_EXECUTOR`` when set, else ``serial``.
 
-    The derivations are GIL-bound pure Python, so threads add dispatch cost
-    without adding compute.  The environment hook exists so whole test
-    matrices (CI runs every backend over the engine suites) and deployments
-    can switch backends without threading a flag through every construction
-    site.
+    The derivations are GIL-bound pure Python, so only a process pool adds
+    compute.  The environment hook exists so whole test matrices (CI runs
+    both backends over the engine suites) and deployments can switch
+    backends without threading a flag through every construction site.
     """
     return os.environ.get("REPRO_EXECUTOR", "serial")
 
@@ -116,9 +115,7 @@ class EngineConfig:
         ``min(8, cpu_count)``.
     executor:
         Execution backend the batch APIs fan out over
-        (:mod:`repro.engine.executor`): ``"serial"`` (in-order, no pool),
-        ``"thread"`` (shared-memory thread pool -- cheap, but the
-        derivations are CPU-bound pure Python, so the GIL serialises them),
+        (:mod:`repro.engine.executor`): ``"serial"`` (in-order, no pool)
         or ``"process"`` (a ``ProcessPoolExecutor`` that ships problem
         pickles to workers and merges the returned results into this
         engine's content-addressed cache and 0-round memo -- true

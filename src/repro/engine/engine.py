@@ -8,8 +8,8 @@ owns
   mode, pipeline policy, cache policy),
 * a :class:`~repro.engine.cache.SpeedupCache` (content-addressed memoisation
   keyed on canonical problem hashes, optionally persisted as JSON),
-* batch fan-out over a pluggable execution backend -- serial loop, thread
-  pool, or process pool (:mod:`repro.engine.executor`) -- behind
+* batch fan-out over a pluggable execution backend -- serial loop or
+  process pool (:mod:`repro.engine.executor`) -- behind
   :meth:`Engine.speedup_many`, :meth:`Engine.run_many`, and
   :meth:`Engine.execute_batch`,
 * a lazy, streaming round-elimination pipeline
@@ -206,27 +206,18 @@ class Engine:
                 max_candidate_configs=cfg.max_candidate_configs,
                 max_live_configs=cfg.max_live_configs,
             )
-        # Single-flight: a miss makes this call the canonical key's leader
-        # (concurrent requests for the same key -- renamed twins included --
-        # block in acquire() and get the stored result), so exactly one
-        # derivation runs per key no matter how many threads race it.
+        # Threads missing on one key at once each derive; the derivation is
+        # deterministic, so they store results equal up to label renaming.
         cached, form, key = self._cache.acquire(problem, use_simplify)
         if cached is not None:
             return cached
-        try:
-            result = compute_speedup(
-                problem,
-                simplify=use_simplify,
-                max_derived_labels=cfg.max_derived_labels,
-                max_candidate_configs=cfg.max_candidate_configs,
-                max_live_configs=cfg.max_live_configs,
-            )
-        except BaseException:
-            # Leadership must not outlive a failed derivation: wake the
-            # waiters so one of them takes over (and fails the same way for
-            # deterministic limit errors).
-            self._cache.abandon(key)
-            raise
+        result = compute_speedup(
+            problem,
+            simplify=use_simplify,
+            max_derived_labels=cfg.max_derived_labels,
+            max_candidate_configs=cfg.max_candidate_configs,
+            max_live_configs=cfg.max_live_configs,
+        )
         # store() returns the frozen shared copy (read-only meaning maps),
         # so hits and the original call observe the same object.  The
         # out-of-band per-fold timing counters describe the derivation that
@@ -265,13 +256,14 @@ class Engine:
 
         Results are returned in input order; each is a correct derivation of
         its input, and every backend ends the batch with the same warm cache
-        state.  Concurrent misses on one canonical key -- label-renamed
-        twins included -- are single-flighted: exactly one derivation runs
-        per key and the other requests receive the stored result translated
-        into their own label space, matching what a sequential loop caches.
-        (The derived alphabet's arbitrary short names may still depend on
-        *which* twin led the flight; canonical hashes and meanings never
-        do.)  Batch metering lands in :meth:`last_batch_stats`.
+        state.  Requests sharing a canonical key -- label-renamed twins
+        included -- derive once: the serial loop hits the cache on every
+        twin after the first, and the process backend dispatches one task
+        per missed key and translates the stored result into the other
+        requests' label spaces.  (The derived alphabet's arbitrary short
+        names may still depend on *which* twin derived; canonical hashes
+        and meanings never do.)  Batch metering lands in
+        :meth:`last_batch_stats`.
 
         Execution is fault-tolerant (:mod:`repro.engine.resilience`): a
         slot holds a :class:`~repro.engine.resilience.TaskFailure` when
@@ -338,7 +330,7 @@ class Engine:
 
         Verdicts are shared through the engine's :class:`ZeroRoundMemo`
         (canonical-hash keyed, so renamed twins hit) across calls, search
-        branches, and worker threads.  Falls back to the uncached decision
+        branches, and caller threads.  Falls back to the uncached decision
         procedures when the memo is disabled.
         """
         orientations = self._config.orientations

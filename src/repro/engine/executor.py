@@ -5,22 +5,17 @@
 :mod:`repro.search.beam`) distribute their per-item work:
 
 * ``"serial"`` -- an in-order loop, no pool; the default when
-  ``REPRO_EXECUTOR`` is unset.  The reference semantics every other backend
-  is differentially tested against, and the fastest choice for tiny batches
-  (pool startup costs more than the work) and for GIL-bound searches.
-* ``"thread"`` -- a ``ThreadPoolExecutor`` sharing the engine's caches
-  in-memory, with concurrent misses on one key coalesced onto a single
-  derivation (single-flight, see
-  :meth:`repro.engine.cache.SpeedupCache.acquire`).  The derivations are
-  CPU-bound, so the GIL serialises the compute, and threads measure as a
-  tie with serial.  On a 2-vCPU host with ``max_workers=2``, alternating
-  pairs: a cold ``speedup_many`` over the eleven problems of perfbench's
-  ``derive-cold`` took a median 0.161 s serial against 0.157 s threaded
-  (threads won 4 of 8 pairs); 32 warm renamed-twin hits 0.0073 s against
-  0.0070 s (4 of 8); a batch of 5-coloring, weak-3-coloring,
-  superweak-3-coloring and 4-coloring at delta 2 went to threads in 7 of
-  14 pairs, with medians over the last 10 of 1.30 s serial against 1.35 s
-  threaded.
+  ``REPRO_EXECUTOR`` is unset.  The reference semantics the ``process``
+  backend is differentially tested against, and the fastest choice for tiny
+  batches (pool startup costs more than the work) and for GIL-bound
+  searches.  There is no thread backend: the derivations are pure Python
+  held by the GIL, and a thread pool never beat this loop reliably.  On a
+  2-vCPU host with ``max_workers=2``, alternating serial/thread pairs gave
+  threads 12 of 20 pairs on a cold ``speedup_many`` over the eleven problems
+  of perfbench's ``derive-cold`` (medians of two runs of ten: 0.123 s
+  serial against 0.134 s threaded, then 0.172 s against 0.170 s) and 2 of
+  6 pairs on a weak-2-coloring[3] ``classify`` under the ``classify-mix``
+  caps (2.03 s serial against 2.06 s threaded).
 * ``"process"`` -- a ``ProcessPoolExecutor`` shipping pickled tasks to
   worker processes, each owning a private serial :class:`~repro.engine.
   engine.Engine` built from the parent's configuration -- including the
@@ -37,12 +32,12 @@ The dispatch is task-shaped, not method-shaped: the four frozen task types
 (:class:`SpeedupTask`, :class:`RunTask`, :class:`ExpandTask`,
 :class:`ChaseTask`) are the unit of shipping, and :func:`execute_task` maps
 any of them onto any engine -- the same function runs in the parent
-(serial/thread backends) and inside workers (process backend), which is
-what makes the backends differentially comparable.
+(serial backend) and inside workers (process backend), which is what makes
+the backends differentially comparable.
 
 Every batch is metered (:class:`BatchStats`): wall clock, summed per-task
 compute, and the parent-side serial components -- canonical hashing, cache
-lock waits, coalesce waits, result-merge time -- whose ratio to wall clock
+lock waits, result-merge time -- whose ratio to wall clock
 is the measured Amdahl serial fraction, read per batch from
 ``Engine.last_batch_stats()`` and reported by the repository benchmark as
 ``executor.serial_fraction``.
@@ -53,7 +48,7 @@ from __future__ import annotations
 import dataclasses
 import multiprocessing
 import time
-from concurrent.futures import Future, ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import Future, ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Union
 
@@ -242,7 +237,6 @@ class BatchStats:
     compute_s: float
     canonical_s: float
     lock_wait_s: float
-    coalesce_wait_s: float
     merge_s: float
     coalesced: int
     cache_hits: int
@@ -277,7 +271,6 @@ class BatchStats:
             "compute_s": self.compute_s,
             "canonical_s": self.canonical_s,
             "lock_wait_s": self.lock_wait_s,
-            "coalesce_wait_s": self.coalesce_wait_s,
             "merge_s": self.merge_s,
             "coalesced": self.coalesced,
             "cache_hits": self.cache_hits,
@@ -496,7 +489,7 @@ def _timed_execute(
 ) -> tuple[object, float]:
     """One in-parent task execution under the retry policy, timed.
 
-    The serial and thread backends run every task through this; transient
+    The serial backend runs every task through this; transient
     faults (an injected flake, an OS-level I/O error mid-derivation) retry
     with deterministic backoff, and a task that exhausts the policy comes
     back as a :class:`TaskFailure` value instead of killing the batch.
@@ -548,9 +541,6 @@ class _BatchMeter:
             compute_s=compute_s,
             canonical_s=conc_after["canonical_s"] - self._conc_before["canonical_s"],
             lock_wait_s=conc_after["lock_wait_s"] - self._conc_before["lock_wait_s"],
-            coalesce_wait_s=(
-                conc_after["coalesce_wait_s"] - self._conc_before["coalesce_wait_s"]
-            ),
             merge_s=merge_s,
             coalesced=int(conc_after["coalesced"] - self._conc_before["coalesced"]),
             cache_hits=cache_after["hits"] - self._cache_before["hits"],
@@ -585,16 +575,6 @@ def run_task_batch(
         values, compute_s, merge_s, counters = _run_process_pool(
             engine, tasks, workers
         )
-    elif backend == "thread" and pooled:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            timed = list(
-                pool.map(
-                    lambda item: _timed_execute(engine, item[0], item[1], counters),
-                    enumerate(tasks),
-                )
-            )
-        values = [value for value, _ in timed]
-        compute_s = sum(elapsed for _, elapsed in timed)
     else:
         values = []
         compute_s = 0.0
@@ -610,14 +590,13 @@ def speedup_batch(
 ) -> tuple[list["SpeedupResult | TaskFailure"], BatchStats]:
     """Batch speedup derivation with cross-backend-consistent accounting.
 
-    Serial and thread backends route through ``engine.speedup`` (whose
-    single-flight cache already coalesces concurrent twins).  The process
-    backend cannot share in-memory latches with its workers, so coalescing
-    happens here in the parent: probe every problem, dispatch exactly one
+    The serial backend routes through ``engine.speedup`` in order, so a
+    twin of an earlier request is a plain cache hit.  The process backend
+    coalesces here in the parent: probe every problem, dispatch exactly one
     leader task per missed canonical key (counted as the one true miss),
     count the other requests of that key as coalesced, and resolve them
-    after the merge as translated hits -- the same hit/miss/coalesce totals
-    a serial run of the same batch reports.
+    after the merge as translated hits -- the same hit and miss totals a
+    serial run of the same batch reports.
 
     A slot holds a :class:`~repro.engine.resilience.TaskFailure` when the
     retry policy quarantined that problem's derivation; followers coalesced
@@ -628,8 +607,8 @@ def speedup_batch(
     workers = engine._resolve_workers(len(problems))
     pooled = backend == "process" and len(problems) > 1 and workers > 1
     if not (pooled and engine.config.cache):
-        # Serial/thread (and degenerate process) batches: per-item speedup
-        # through the shared cache; single-flight does the coalescing.
+        # Serial (and degenerate process) batches: per-item speedup through
+        # the shared cache, where a twin of an earlier item hits.
         tasks: list[Task] = [SpeedupTask(problem, simplify) for problem in problems]
         values, stats = run_task_batch(engine, tasks)
         return [_as_speedup_value(value) for value in values], stats

@@ -22,7 +22,7 @@ with kinds
 ``hang@i[*c]``
     The worker executing task ``i`` sleeps far past any sane deadline on its
     first ``c`` attempts.  Only fires inside process-pool workers (a hung
-    thread cannot be reclaimed).
+    parent cannot be reclaimed).
 ``flake@i[*c]``
     Executing task ``i`` raises :class:`InjectedFault` (an ``OSError``, so
     classified transient/retryable) on its first ``c`` attempts.  Fires on

@@ -57,13 +57,6 @@ from repro.engine.faultinject import FaultPlan
 if TYPE_CHECKING:
     from concurrent.futures import ProcessPoolExecutor
 
-#: How long a waiter on a single-flight cache latch sleeps before probing
-#: whether the latch's leader thread is still alive (see
-#: :meth:`repro.engine.cache.SpeedupCache.acquire`).  Long enough that legal
-#: multi-minute derivations never pay more than bookkeeping, short enough
-#: that a dead leader's waiters recover promptly in tests and services.
-LATCH_PROBE_S = 5.0
-
 #: Poll granularity of the deadline monitor (seconds).  Deadlines are
 #: wall-clock bounds on runaway tasks, not precise timers; 50ms keeps the
 #: monitor cheap while detecting hangs promptly.
@@ -88,8 +81,9 @@ class RetryPolicy:
         No jitter, by design -- chaos tests must reproduce byte-identically.
     task_timeout_s:
         Per-task execution deadline.  Enforced only under the ``process``
-        backend (a hung worker is terminated and its task retried); threads
-        cannot be preempted, so thread/serial execution ignores it.
+        backend (a hung worker is terminated and its task retried); a task
+        running in the parent cannot be preempted, so serial execution
+        ignores it.
         ``None`` disables deadlines.
     max_pool_rebuilds:
         Pool crashes plus deadline kills tolerated per batch before the
@@ -202,7 +196,7 @@ def execute_with_retry(
     policy: RetryPolicy,
     counters: FaultCounters,
 ) -> object:
-    """Run one task locally (serial/thread tier) under the retry policy.
+    """Run one task in the parent (the serial tier) under the retry policy.
 
     ``run`` receives the attempt number (fault plans key on it, so the
     caller's closure owns any injection).

@@ -166,7 +166,7 @@ def execute_expand_task(engine: Engine, task: ExpandTask) -> ExpandPayload:
     candidate's compression, canonical hashing, and memoised 0-round
     decision -- and returns an :class:`~repro.engine.executor.ExpandPayload`
     that :meth:`_LowerBound.consume` turns into beam states.  Runs in the
-    parent under the serial/thread backends and inside pool workers under
+    parent under the serial backend and inside pool workers under
     ``process``.
 
     A derived problem that is itself 0-round solvable short-circuits move

@@ -174,6 +174,33 @@ def test_classify_stats_are_pinned(name, delta, max_steps, lower, upper):
     assert (None if upper_result is None else upper_result.stats.to_dict()) == upper
 
 
+def test_classify_output_depends_on_backend_only_in_lower_memo_hits():
+    """mis[3] under the ``classify-mix`` caps, serial against process.
+
+    Process workers of one expansion batch each hold their own 0-round
+    memo, so a twin a serial run finds in the shared memo can miss there:
+    the lower search's ``zero_round_memo_hits`` is the one backend-dependent
+    figure, and it can only fall.  Everything else in the JSON must match.
+    """
+    outputs = {}
+    for backend in ("serial", "process"):
+        engine = Engine(
+            EngineConfig(
+                executor=backend,
+                max_workers=2,
+                max_derived_labels=2_000,
+                max_candidate_configs=50_000,
+            )
+        )
+        outputs[backend] = engine.classify(mis(3), max_steps=2).to_dict()
+    memo_hits = {
+        backend: output["lower_result"]["stats"].pop("zero_round_memo_hits")
+        for backend, output in outputs.items()
+    }
+    assert outputs["process"] == outputs["serial"]
+    assert memo_hits["process"] <= memo_hits["serial"]
+
+
 # -- bracket construction and deserialization gates ----------------------------
 
 

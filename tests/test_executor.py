@@ -1,12 +1,12 @@
-"""Execution backends: differential equivalence, single-flight, pickling.
+"""Execution backends: differential equivalence, coalescing, pickling.
 
-The three backends (``serial`` / ``thread`` / ``process``) must be
-observationally equivalent: same results up to the canonical hash, same
-cache accounting, same search outcomes.  ``serial`` is the reference; the
-differential tests here hold the other two to it.  The concurrency tests
-prove the single-flight contract -- exactly one derivation per canonical
-key, no matter how many threads race renamed twins -- and the process tests
-prove real pickle round-trips through real worker processes.
+The two backends (``serial`` / ``process``) must be observationally
+equivalent: same results up to the canonical hash, same cache accounting,
+same search outcomes.  ``serial`` is the reference; the differential tests
+here hold ``process`` to it.  The coalescing tests prove that a batch of
+renamed twins derives once on either backend, the thread-safety test that
+caller threads racing on one engine get correct results, and the process
+tests prove real pickle round-trips through real worker processes.
 """
 
 import json
@@ -30,7 +30,7 @@ from repro.engine.executor import (
 )
 from repro.problems.catalog import get_problem
 
-BACKENDS = ("serial", "thread", "process")
+BACKENDS = ("serial", "process")
 
 
 def _engine(backend, **overrides):
@@ -49,13 +49,15 @@ def _renamed(problem, prefix):
 def test_executor_name_validated():
     with pytest.raises(ValueError):
         EngineConfig(executor="bogus")
+    with pytest.raises(ValueError):
+        EngineConfig(executor="thread")
 
 
 def test_executor_env_default(monkeypatch):
     monkeypatch.delenv("REPRO_EXECUTOR", raising=False)
     assert EngineConfig().executor == "serial"
-    monkeypatch.setenv("REPRO_EXECUTOR", "thread")
-    assert EngineConfig().executor == "thread"
+    monkeypatch.setenv("REPRO_EXECUTOR", "process")
+    assert EngineConfig().executor == "process"
 
 
 # -- differential backend equivalence -----------------------------------------
@@ -165,25 +167,17 @@ def test_batch_stats_recorded_per_backend(mixed_batch):
         assert payload["backend"] == backend
 
 
-# -- single-flight coalescing --------------------------------------------------
+# -- coalescing and thread safety ---------------------------------------------
 
 
-def test_sixteen_simultaneous_renamed_twins_derive_once(sc3, monkeypatch):
-    """The acceptance-criteria race: 16 threads, 16 renamed twins, 1 derivation."""
-    import repro.engine.engine as engine_module
+def test_sixteen_simultaneous_renamed_twins_share_one_engine(sc3):
+    """16 caller threads race 16 renamed twins on one engine.
 
-    derivations = []
-    derivation_lock = threading.Lock()
-    real_compute = engine_module.compute_speedup
-
-    def counting_compute(problem, **kwargs):
-        with derivation_lock:
-            derivations.append(problem.name)
-        return real_compute(problem, **kwargs)
-
-    monkeypatch.setattr(engine_module, "compute_speedup", counting_compute)
-
-    engine = Engine()
+    Misses on one key are not coalesced in-process, so several threads may
+    derive; each must still get a correct result and the cache must end
+    with the one entry.
+    """
+    engine = Engine(EngineConfig(executor="serial"))
     twins = [_renamed(sc3, f"t{i}x") for i in range(16)]
     barrier = threading.Barrier(16)
     results = [None] * 16
@@ -203,66 +197,22 @@ def test_sixteen_simultaneous_renamed_twins_derive_once(sc3, monkeypatch):
         thread.join()
 
     assert not errors
-    assert len(derivations) == 1  # exactly one derivation ran
-    stats = engine.cache_stats()
-    assert stats["misses"] == 1 and stats["hits"] == 15 and stats["entries"] == 1
-    conc = engine.cache.concurrency_stats()
-    assert 0 <= conc["coalesced"] <= 15
     for twin, result in zip(twins, results):
-        # Every caller got the one stored derivation translated into its own
-        # label space.
         assert result.original == twin
-
-
-def test_failed_leader_wakes_waiters_who_inherit(sc3, monkeypatch):
-    """abandon(): a failing derivation must not deadlock coalesced waiters."""
-    import repro.engine.engine as engine_module
-
-    calls = []
-    call_lock = threading.Lock()
-
-    def failing_compute(problem, **kwargs):
-        with call_lock:
-            calls.append(problem.name)
-        raise EngineLimitError(
-            "boom", limit_name="max_derived_labels", limit=1, observed=2
-        )
-
-    monkeypatch.setattr(engine_module, "compute_speedup", failing_compute)
-
-    engine = Engine()
-    barrier = threading.Barrier(4)
-    outcomes = []
-    outcome_lock = threading.Lock()
-
-    def request(problem):
-        barrier.wait()
-        try:
-            engine.speedup(problem)
-        except EngineLimitError as exc:
-            with outcome_lock:
-                outcomes.append(exc.limit_name)
-
-    twins = [_renamed(sc3, f"f{i}x") for i in range(4)]
-    threads = [threading.Thread(target=request, args=(t,)) for t in twins]
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join(timeout=30)
-    assert not any(thread.is_alive() for thread in threads), "deadlocked waiters"
-    assert outcomes == ["max_derived_labels"] * 4
-    assert len(calls) >= 1  # at least the leader tried (waiters inherit)
-    # The flight table must be empty: the next request is a fresh leader.
-    assert engine.cache._inflight == {}
-
-
-def test_speedup_many_thread_backend_coalesces_twins(sc3):
-    engine = _engine("thread", max_workers=4)
-    twins = [_renamed(sc3, f"m{i}x") for i in range(8)]
-    results = engine.speedup_many(twins)
+    assert len({canonical_hash(result.full) for result in results}) == 1
     stats = engine.cache_stats()
-    assert stats["misses"] == 1 and stats["hits"] == 7
-    assert len({canonical_hash(r.full) for r in results}) == 1
+    assert stats["entries"] == 1
+    assert stats["hits"] + stats["misses"] == 16
+
+
+def test_speedup_many_coalesces_twins(sc3):
+    for backend in BACKENDS:
+        engine = _engine(backend)
+        twins = [_renamed(sc3, f"m{i}x") for i in range(8)]
+        results = engine.speedup_many(twins)
+        stats = engine.cache_stats()
+        assert stats["misses"] == 1 and stats["hits"] == 7, backend
+        assert len({canonical_hash(r.full) for r in results}) == 1, backend
 
 
 # -- the process backend -------------------------------------------------------

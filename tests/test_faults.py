@@ -11,16 +11,16 @@ and asserts the recovery contract:
   the batch;
 * disk faults (ENOSPC, torn writes) never raise and never clobber the
   previously stored entry -- they surface as ``store_failures``;
-* a dead single-flight leader cannot strand its waiters;
 * interrupts leave no stale cache temp files behind;
 * a checkpointed search killed mid-flight resumes to a byte-identical,
   independently verified result -- in both directions, since the lower-bound
   search and the upper-bound chase share one checkpoint implementation.
 
 The CI ``fault-matrix`` job re-runs this file under
-``REPRO_EXECUTOR=thread`` and ``=process``; tests that exercise
-backend-generic behaviour deliberately use the environment's default
-executor so both legs differ.
+``REPRO_EXECUTOR=serial`` and ``=process``; the tests that exercise
+backend-generic behaviour (the flake, disk-fault and checkpoint tests)
+deliberately use the environment's default executor so the two legs
+differ.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ import concurrent.futures
 import json
 import subprocess
 import sys
-import threading
 import time
 from collections.abc import Callable
 from dataclasses import dataclass, fields
@@ -42,7 +41,6 @@ from repro.engine import (
     Engine,
     EngineConfig,
     RetryPolicy,
-    SpeedupCache,
     TaskFailure,
     parse_fault_plan,
 )
@@ -251,7 +249,7 @@ def test_deadline_exceeded_task_quarantined():
 
 def test_flake_is_retried_in_band():
     """Transient in-task faults retry on EVERY backend (this test follows
-    REPRO_EXECUTOR, so the CI fault matrix exercises thread and process)."""
+    REPRO_EXECUTOR, so the CI fault matrix exercises serial and process)."""
     probs = _cheap_batch()[:4]
     serial = Engine(EngineConfig(executor="serial"))
     expected = _dicts(serial.speedup_many(probs))
@@ -372,42 +370,6 @@ def test_zero_round_memo_counts_store_failures(tmp_path):
     engine.search_lower_bound(sinkless_orientation(3), max_steps=3)
     memo_stats = engine.zero_round_stats()
     assert memo_stats["store_failures"] >= 1
-
-
-# ------------------------------------------------------------- latch death --
-
-
-def test_dead_leader_does_not_strand_waiters(monkeypatch):
-    """A single-flight leader whose thread dies without store/abandon is
-    detected by its waiters, who inherit leadership instead of hanging."""
-    monkeypatch.setattr("repro.engine.cache.LATCH_PROBE_S", 0.05)
-    cache = SpeedupCache()
-    prob = sinkless_coloring(3)
-
-    def doomed_leader():
-        hit, _form, _key = cache.acquire(prob, simplify=True)
-        assert hit is None  # leadership taken...
-        # ...and the thread dies here: no store(), no abandon().
-
-    leader = threading.Thread(target=doomed_leader)
-    leader.start()
-    leader.join()
-
-    outcome = {}
-
-    def waiter():
-        hit, _form, key = cache.acquire(prob, simplify=True)
-        outcome["hit"] = hit
-        outcome["key"] = key
-        if hit is None:
-            cache.abandon(key)
-
-    rescue = threading.Thread(target=waiter)
-    rescue.start()
-    rescue.join(timeout=10.0)
-    assert not rescue.is_alive(), "waiter stranded behind a dead leader"
-    assert outcome["hit"] is None  # inherited leadership (no entry stored)
-    assert cache.concurrency_stats()["latch_recoveries"] == 1.0
 
 
 # ------------------------------------------------------- checkpoint/resume --

@@ -173,3 +173,51 @@ def test_cli_module_entrypoint_self_check() -> None:
         text=True,
     )
     assert result.returncode == EXIT_CLEAN, result.stdout + result.stderr
+
+
+# -------------------------------------------------------------- deadcode --
+
+#: ``python -m tools.relint.deadcode src/repro --refs src examples``: what
+#: nothing in the package or the examples references.  Shrink this as the
+#: entries are moved to tests or deleted; a new entry must be justified here.
+_DEADCODE_PIN = {
+    ("src/repro/analysis/experiments.py", "reproduces_paper"),
+    ("src/repro/core/certificate.py", "final_problem"),
+    ("src/repro/core/diagram.py", "diagram_build_count"),
+    ("src/repro/core/diagram.py", "maximal_labels"),
+    ("src/repro/core/galois.py", "closure"),
+    ("src/repro/core/galois.py", "is_closed"),
+    ("src/repro/core/galois.py", "closed_sets"),
+    ("src/repro/core/galois.py", "usable_closed_sets"),
+    ("src/repro/core/problem.py", "allows_node"),
+    ("src/repro/core/speedup.py", "polar_name"),
+    ("src/repro/engine/engine.py", "cache_stats"),
+    ("src/repro/engine/engine.py", "clear_cache"),
+    ("src/repro/engine/engine.py", "speedup_many"),
+    ("src/repro/engine/engine.py", "run_many"),
+    ("src/repro/engine/engine.py", "last_batch_stats"),
+    ("src/repro/sim/ports.py", "with_random_ports"),
+    ("src/repro/sim/ports.py", "b_elements"),
+    ("src/repro/sim/solver.py", "solve_problem_on_graph"),
+    ("src/repro/sim/speedup_exec.py", "all_ok"),
+    ("src/repro/superweak/lemma1.py", "lemma_conclusion_holds"),
+    ("src/repro/superweak/weak9.py", "matches_paper"),
+    ("src/repro/utils/logstar.py", "log2_floor"),
+    ("src/repro/utils/matching.py", "can_realize"),
+    ("src/repro/utils/multiset.py", "multiset_union"),
+    ("src/repro/utils/orders.py", "maximal_elements"),
+    ("src/repro/utils/orders.py", "filters"),
+    ("src/repro/utils/tower.py", "materialize"),
+}
+
+
+def test_deadcode_report_is_pinned() -> None:
+    from tools.relint.deadcode import _definitions, _uses
+
+    used = _uses([REPO / "src", REPO / "examples"])
+    dead = {
+        (Path(path).relative_to(REPO).as_posix(), name)
+        for name, path, _line in _definitions([REPO / "src" / "repro"])
+        if name not in used
+    }
+    assert dead == _DEADCODE_PIN

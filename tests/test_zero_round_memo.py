@@ -18,16 +18,15 @@ from repro.engine import Engine, EngineConfig
 
 @pytest.fixture()
 def engine():
-    # Pinned to the thread backend: these tests assert exact hit/miss
+    # Pinned to the serial backend: these tests assert exact hit/miss
     # accounting on the engine's *shared* memo, which process-pool workers
     # by design cannot see mid-batch (their verdicts merge in afterwards),
-    # so memo-hit counts differ there.  Thread keeps the concurrency while
-    # preserving shared-memory accounting.
+    # so memo-hit counts differ there.
     return Engine(
         EngineConfig(
             max_derived_labels=5_000,
             max_candidate_configs=100_000,
-            executor="thread",
+            executor="serial",
         )
     )
 
