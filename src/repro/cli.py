@@ -122,28 +122,48 @@ def _resolve_max_candidate_configs(args: argparse.Namespace, defaults: EngineCon
     return value if value is not None else defaults.max_candidate_configs
 
 
+def _option(args: argparse.Namespace, name: str, default: int) -> int:
+    """An integer option when given (``0`` included, so validation sees it),
+    else the engine default."""
+    value = getattr(args, name, None)
+    return default if value is None else value
+
+
+class ConfigurationError(Exception):
+    """An invalid engine setting from the command line or the environment."""
+
+
 def _engine_from_args(args: argparse.Namespace) -> Engine:
-    defaults = EngineConfig()
-    policy = defaults.retry_policy
-    retries = getattr(args, "retries", None)
-    if retries is not None:
-        policy = policy.replace(max_retries=retries)
-    task_timeout = getattr(args, "task_timeout", None)
-    if task_timeout is not None:
-        policy = policy.replace(task_timeout_s=task_timeout)
-    config = EngineConfig(
-        simplify=not getattr(args, "no_simplify", False),
-        max_derived_labels=getattr(args, "max_labels", None) or defaults.max_derived_labels,
-        max_candidate_configs=_resolve_max_candidate_configs(args, defaults),
-        max_live_configs=getattr(args, "max_live_configs", None)
-        or defaults.max_live_configs,
-        cache_dir=getattr(args, "cache_dir", None),
-        zero_round_memo=not getattr(args, "no_zero_memo", False),
-        executor=getattr(args, "backend", None) or defaults.executor,
-        max_workers=getattr(args, "workers", None),
-        retry_policy=policy,
-    )
-    return Engine(config)
+    """The engine a subcommand runs on.
+
+    ``EngineConfig`` validates every setting, including the defaults read
+    from ``REPRO_EXECUTOR`` and ``REPRO_FAULT_PLAN``; its ``ValueError``
+    becomes a :class:`ConfigurationError`, which ``main`` reports as
+    ``error: ...`` with exit status 2.
+    """
+    try:
+        defaults = EngineConfig()
+        policy = defaults.retry_policy
+        retries = getattr(args, "retries", None)
+        if retries is not None:
+            policy = policy.replace(max_retries=retries)
+        task_timeout = getattr(args, "task_timeout", None)
+        if task_timeout is not None:
+            policy = policy.replace(task_timeout_s=task_timeout)
+        config = EngineConfig(
+            simplify=not getattr(args, "no_simplify", False),
+            max_derived_labels=_option(args, "max_labels", defaults.max_derived_labels),
+            max_candidate_configs=_resolve_max_candidate_configs(args, defaults),
+            max_live_configs=_option(args, "max_live_configs", defaults.max_live_configs),
+            cache_dir=getattr(args, "cache_dir", None),
+            zero_round_memo=not getattr(args, "no_zero_memo", False),
+            executor=getattr(args, "backend", None) or defaults.executor,
+            max_workers=getattr(args, "workers", None),
+            retry_policy=policy,
+        )
+        return Engine(config)
+    except ValueError as exc:
+        raise ConfigurationError(f"invalid engine configuration: {exc}") from exc
 
 
 def _read_problem_spec(args: argparse.Namespace) -> Problem | None:
@@ -688,7 +708,7 @@ def main(argv: Sequence[str] | None = None) -> int:
 
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141
-    except ProblemError as exc:
+    except (ProblemError, ConfigurationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

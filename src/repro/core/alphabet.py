@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import string
 from collections.abc import Collection, Iterable, Iterator, Sequence
+from itertools import compress, count
 from typing import TYPE_CHECKING, Literal, cast
 
 from repro.core.problem import EdgeRelation, Label, Problem
@@ -77,12 +78,17 @@ __all__ = [
     "InternedProblem",
     "LabelIndex",
     "LabelMask",
+    "bit_indices",
     "intern",
     "iter_bits",
     "mask_matching_exists",
     "set_label_name",
     "short_names",
 ]
+
+
+#: Maps the binary digits ``"0"``/``"1"`` to false/true selector bytes.
+_BIT_SELECTORS = bytes.maketrans(b"01", b"\x00\x01")
 
 
 def iter_bits(mask: LabelMask | int) -> Iterator[LabelIndex]:
@@ -92,6 +98,17 @@ def iter_bits(mask: LabelMask | int) -> Iterator[LabelIndex]:
         low = remaining & -remaining
         yield LabelIndex(low.bit_length() - 1)
         remaining ^= low
+
+
+def bit_indices(mask: int) -> tuple[int, ...]:
+    """The set bit positions of ``mask`` in increasing order, as a tuple.
+
+    Selects positions by the mask's binary digits, lowest first: one pass
+    in C instead of one generator step per set bit, the faster decoder for
+    masks that are not sparse.
+    """
+    digits = format(mask, "b")[::-1].encode().translate(_BIT_SELECTORS)
+    return tuple(compress(count(), digits))
 
 
 class Alphabet:
@@ -126,7 +143,7 @@ class Alphabet:
 
     def indices(self, mask: LabelMask) -> tuple[LabelIndex, ...]:
         """The sorted bit positions of ``mask``."""
-        return tuple(iter_bits(mask))
+        return cast("tuple[LabelIndex, ...]", bit_indices(mask))
 
     def members(self, mask: LabelMask) -> tuple[Label, ...]:
         """The labels of ``mask`` in sorted name order."""
@@ -140,10 +157,18 @@ class Alphabet:
         that contains it; bits follow sorted name order, so joining the
         escaped names in bit order is exactly ``set_label_name``'s sort.
         """
+        return self.indices_name(iter_bits(mask))
+
+    def indices_name(self, indices: Iterable[LabelIndex]) -> Label:
+        """The set-valued label name of already-decoded, increasing bit positions.
+
+        ``indices_name(indices(mask)) == mask_name(mask)``; callers that hold
+        the decoded tuple skip a second walk over the mask's bits.
+        """
         escaped = self._escaped
         if escaped is None:
             escaped = self._escaped = tuple(_escape_member(name) for name in self.names)
-        return "{" + ",".join([escaped[i] for i in iter_bits(mask)]) + "}"
+        return "{" + ",".join([escaped[i] for i in indices]) + "}"
 
     def label_set(self, mask: LabelMask) -> frozenset[Label]:
         """The labels of ``mask`` as a frozenset (the legacy representation)."""
@@ -152,7 +177,7 @@ class Alphabet:
     def config(self, indices: Sequence[LabelIndex]) -> tuple[Label, ...]:
         """Convert a non-decreasing index tuple to a canonical name tuple."""
         names = self.names
-        return tuple(names[i] for i in indices)
+        return tuple([names[i] for i in indices])
 
     def __len__(self) -> int:  # pragma: no cover - convenience
         return self.size

@@ -49,15 +49,13 @@ from __future__ import annotations
 
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
-from itertools import chain
 from operator import gt, lt
 from time import perf_counter
 from typing import Any
 
-import numpy
-
 from repro.core.alphabet import (
     Alphabet,
+    bit_indices,
     intern,
     mask_matching_exists,
     set_label_name,
@@ -69,12 +67,7 @@ from repro.core.galois import Compatibility
 # Galois layer can raise it too; this module remains the public import site.
 from repro.core.limits import EngineLimitError
 from repro.core.problem import EdgeRelation, Label, Problem, edge_config, node_config
-from repro.core.vectorkernel import (
-    AllowsTable,
-    KernelStats,
-    existential_edge_matrix,
-    unpack_masks,
-)
+from repro.core.vectorkernel import AllowsTable, KernelStats
 
 __all__ = [
     "EngineLimitError",
@@ -512,19 +505,23 @@ def full_step(
                 observed=2**half_count,
             )
         candidate_masks = list(range(1, (1 << half_count)))
-    # A candidate's *rank* is its position in this order; configurations are
-    # kept as rank-sorted tuples, which is the half-alphabet order.
-    candidate_masks.sort(key=half_alphabet.indices)
+    # Each candidate is decoded to its half-label indices once; the tuple is
+    # its sort key, its minimal elements and, for the labels that survive,
+    # its set name, adjacency row and meaning.  A candidate's *rank* is its
+    # position in this order; configurations are kept as rank-sorted tuples,
+    # which is the half-alphabet order.  Distinct masks decode to distinct
+    # tuples, so the sort never compares two masks.
+    decoded = sorted([(half_alphabet.indices(mask), mask) for mask in candidate_masks])
+    candidate_masks = [mask for _, mask in decoded]
+    members = [indices for indices, _ in decoded]
+    del decoded
+    rank_of = {candidate: rank for rank, candidate in enumerate(candidate_masks)}
 
     # The universal node check (Property 4) only needs the minimal elements of
     # each candidate set: h_{1/2} is monotone under the half-label order.
     mins = [
-        tuple(
-            index
-            for index in half_alphabet.indices(candidate)
-            if down[index] & candidate == 1 << index
-        )
-        for candidate in candidate_masks
+        tuple([index for index in indices if down[index] & candidate == 1 << index])
+        for indices, candidate in zip(members, candidate_masks)
     ]
 
     hall = _hall_oracle(half.original, meaning_masks)
@@ -542,6 +539,7 @@ def full_step(
         frontier = _MaskFrontier(max_live_configs)
         _stream_maximal_configs(
             candidate_masks,
+            rank_of,
             delta,
             mins,
             up,
@@ -600,87 +598,80 @@ def full_step(
     # went.  Byte equality with the historic construction is asserted by the
     # differential suite.
     started = perf_counter()
-    used_masks = sorted(
-        {candidate for config in allowed_configs for candidate in config},
-        key=half_alphabet.indices,
+    # The used labels, as ranks: rank order is the half-alphabet order the
+    # historic construction sorted them by.
+    used_ranks = sorted(
+        {rank_of[candidate] for config in allowed_configs for candidate in config}
     )
-    used_count = len(used_masks)
+    used_masks = [candidate_masks[rank] for rank in used_ranks]
+    used_members = [members[rank] for rank in used_ranks]
     index_of = {candidate: index for index, candidate in enumerate(used_masks)}
-    partner_union = []
-    for candidate in used_masks:
-        bits = 0
-        remaining = candidate
-        while remaining:
-            low = remaining & -remaining
-            bits |= partner_bits[low.bit_length() - 1]
-            remaining ^= low
-        partner_union.append(bits)
-    # Components arrive sorted by the half-alphabet key used_masks is sorted
-    # by, so the index tuples are canonical (non-decreasing) multisets.
+    # Components arrive in rank order, so the index tuples are canonical
+    # (non-decreasing) multisets.
     node_index_configs = [
-        tuple(index_of[candidate] for candidate in config)
-        for config in allowed_configs
+        tuple([index_of[candidate] for candidate in config]) for config in allowed_configs
     ]
+    config_masks = [_bits_mask(config) for config in node_index_configs]
 
-    # The edge relation stays one boolean row per used label (entry j of
-    # row i: the pair {i, j} has an existential witness) through the
-    # compressed() fixpoint and the rename; only the final rows, permuted
-    # into the derived alphabet's order, are kept.  The rows are symmetric
-    # without a second pass: partner bits follow the Galois connection
-    # (Z is in comp(Y) iff Y is in comp(Z), and closed half labels are each
-    # other's polar partners), so either orientation witnesses the pair.
-    hits = existential_edge_matrix(used_masks, partner_union, half_count)
-    # The compressed() fixpoint: usable = mentioned in both relations;
-    # dropping labels invalidates configurations, so iterate.
-    alive = numpy.ones(used_count, dtype=bool)
-    in_edges = hits.any(axis=1)
+    # The compressed() fixpoint over an ``alive`` mask of used labels:
+    # usable = mentioned in both relations; dropping labels invalidates
+    # configurations, so iterate.  The fixpoint needs no adjacency rows:
+    # label ``i`` has an edge to an alive label iff it holds a half label
+    # whose partner bits meet some alive label.
+    alive = (1 << len(used_masks)) - 1
+    surviving: Sequence[int] = range(len(used_masks))
     while True:
-        in_nodes = numpy.zeros(used_count, dtype=bool)
-        if node_index_configs:
-            in_nodes[
-                numpy.fromiter(chain.from_iterable(node_index_configs), dtype=numpy.int64)
-            ] = True
+        covered = 0
+        for index in surviving:
+            covered |= used_masks[index]
+        partnered = 0
+        for half_index, bits in enumerate(partner_bits):
+            if bits & covered:
+                partnered |= 1 << half_index
+        in_edges = 0
+        for index in surviving:
+            if used_masks[index] & partnered:
+                in_edges |= 1 << index
+        in_nodes = 0
+        for mask in config_masks:
+            in_nodes |= mask
         usable = in_edges & in_nodes
-        if numpy.array_equal(usable, alive):
+        if usable == alive:
             break
         alive = usable
-        in_edges = hits[:, alive].any(axis=1) & alive
-        node_index_configs = [
-            config
-            for config in node_index_configs
-            if all(alive[index] for index in config)
+        surviving = bit_indices(alive)
+        kept = [
+            (config, mask)
+            for config, mask in zip(node_index_configs, config_masks)
+            if mask & ~alive == 0
         ]
-    surviving = numpy.nonzero(alive)[0].tolist()
+        node_index_configs = [config for config, _ in kept]
+        config_masks = [mask for _, mask in kept]
 
     # Rename to short atomic labels for iteration; keep provenance.  The
     # fresh names avoid the original problem's own labels so a derived label
     # can never shadow a pre-existing user label (e.g. an input that already
     # uses ``A``); the rename order is the string sort of the set names,
     # exactly as the historic construction sorted the intermediate labels.
-    set_name_of = {
-        index: half_alphabet.mask_name(used_masks[index]) for index in surviving
-    }
-    ordered = sorted(set_name_of.values())
-    rename = dict(zip(ordered, short_names(len(ordered), avoid=half.original.labels)))
-    short_of = {index: rename[set_name_of[index]] for index in surviving}
+    set_names = [half_alphabet.indices_name(used_members[index]) for index in surviving]
+    by_name = sorted(range(len(surviving)), key=set_names.__getitem__)
+    short_of = dict(
+        zip(
+            [surviving[position] for position in by_name],
+            short_names(len(by_name), avoid=half.original.labels),
+        )
+    )
 
     node_constraint = frozenset(
         node_config(short_of[index] for index in config)
         for config in node_index_configs
     )
     # One mask per derived label, in the derived alphabet's (sorted name)
-    # order, over bit positions in that same order.
+    # order, over bit positions in that same order: the rows are built once,
+    # over the surviving labels only, so no bit permutation is needed.
     order = sorted(surviving, key=short_of.__getitem__)
-    masks: list[int] = []
-    if order:
-        positions = numpy.array(order, dtype=numpy.intp)
-        masks = unpack_masks(
-            numpy.packbits(hits[numpy.ix_(positions, positions)], axis=1, bitorder="little")
-        )
-    del hits
-    edge_constraint = EdgeRelation(
-        tuple(short_of[index] for index in order), tuple(masks)
-    )
+    rows = _existential_rows([used_members[index] for index in order], partner_bits)
+    edge_constraint = EdgeRelation(tuple(short_of[index] for index in order), tuple(rows))
 
     # Canonical by construction (adjacency over the sorted fresh names, node
     # tuples sorted, labels freshly minted), so take the trusted constructor
@@ -693,7 +684,7 @@ def full_step(
         node_constraint=node_constraint,
     )
     full_meaning = {
-        rename[set_name_of[index]]: half_alphabet.label_set(used_masks[index])
+        short_of[index]: frozenset(half_alphabet.config(used_members[index]))
         for index in surviving
     }
     stats.materialise_s += perf_counter() - started
@@ -826,6 +817,40 @@ def _bits_mask(indices: Sequence[int]) -> int:
     return mask
 
 
+def _existential_rows(labels: Sequence[tuple[int, ...]], partner_bits: Sequence[int]) -> list[int]:
+    """The existential edge relation (Property 3) as one adjacency row per label.
+
+    ``labels`` are derived labels as increasing half-label indices; bit ``j``
+    of row ``i`` says that the partner bits of some member of label ``i``
+    meet label ``j``.  ``holders[h]`` is the column of labels holding half
+    label ``h`` and ``reach[m]`` the OR of the columns of ``m``'s partners,
+    so a row is one OR per member.  The rows are symmetric without a second
+    pass: partner bits follow the Galois connection (Z is in comp(Y) iff Y
+    is in comp(Z), and closed half labels are each other's polar partners),
+    so either orientation witnesses the pair.
+    """
+    holders = [0] * len(partner_bits)
+    for position, indices in enumerate(labels):
+        bit = 1 << position
+        for index in indices:
+            holders[index] |= bit
+    reach = []
+    for bits in partner_bits:
+        column = 0
+        while bits:
+            low = bits & -bits
+            column |= holders[low.bit_length() - 1]
+            bits ^= low
+        reach.append(column)
+    rows = []
+    for indices in labels:
+        row = 0
+        for index in indices:
+            row |= reach[index]
+        rows.append(row)
+    return rows
+
+
 def _enumerate_filters(
     count: int,
     up: list[int],
@@ -901,6 +926,7 @@ def _enumerate_universal_configs(
 
 def _stream_maximal_configs(
     candidates: Sequence[int],
+    rank_of: Mapping[int, int],
     delta: int,
     mins: Sequence[tuple[int, ...]],
     up: list[int],
@@ -932,7 +958,7 @@ def _stream_maximal_configs(
     the half labels that extend every min-choice, so a candidate extends
     the prefix iff its minimal elements all lie in it.  Prefixes hold
     candidate *ranks* (positions in ``candidates``), so a configuration
-    sorts as ints.
+    sorts as ints; ``rank_of`` maps each candidate back to its rank.
 
     ``max_candidate_configs`` is charged incrementally -- one unit per prefix
     extension attempted and per completion computed -- in deterministic DFS
@@ -940,7 +966,6 @@ def _stream_maximal_configs(
     """
     all_labels = (1 << half_count) - 1
     min_masks = [_bits_mask(minimal) for minimal in mins]
-    rank_of = {candidate: rank for rank, candidate in enumerate(candidates)}
     # U -> (rank of its up-closure); the same U recurs across prefixes.
     completion_rank: dict[int, int] = {}
     allowed_next = hall.allowed_next

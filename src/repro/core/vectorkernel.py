@@ -1,8 +1,7 @@
-"""The batched folds of the derivation: the Hall query and materialisation.
+"""The batched Hall query of the derivation, and the kernel's fold counters.
 
-These folds evaluate every candidate at once instead of one per loop
-iteration.  Each fold of the derivation has exactly one implementation, the
-one that measured fastest; two of them live here:
+Each fold of the derivation has exactly one implementation, the one that
+measured fastest.  The one batched fold lives here:
 
 * the Hall query -- :class:`AllowsTable` decides, for every candidate
   next label at once, whether a partial configuration of any length below
@@ -15,16 +14,16 @@ one that measured fastest; two of them live here:
   derivations and 10% slower on the ``derive-cold`` ones (docs/API.md,
   "Kernels").  Inputs with ``delta > 16`` ask the scalar matching oracle
   in :mod:`repro.core.speedup` instead of walking ``2**(delta - 1)`` slot
-  subsets;
-* materialisation -- :func:`existential_edge_matrix` packs label masks
-  into ``uint64`` numpy rows (more than 64 labels spill to multi-word
-  rows), builds the derived edge relation as one boolean matrix, and
-  :mod:`repro.core.speedup` packs it into per-label adjacency masks.
+  subsets.
 
-The closed-set fixed point, the filter enumeration and the domination
-frontier stay scalar big-int code in :mod:`repro.core.galois` and
-:mod:`repro.core.speedup`: batching them measured slower.  numpy >= 2 is a
-hard dependency.
+Materialisation (the derived edge relation as one adjacency row per label)
+is Python-int code in :mod:`repro.core.speedup` too: its numpy form, a
+boolean ``labels x labels`` matrix packed to rows, measured about 3x slower
+on the ``derive-cold`` derivations (docs/API.md, "Kernels").  The
+closed-set fixed point, the filter enumeration and the domination frontier
+stay scalar big-int code in :mod:`repro.core.galois` and
+:mod:`repro.core.speedup`: batching them measured slower.  So no fold
+imports numpy; :func:`get_numpy` loads it on demand.
 """
 
 from __future__ import annotations
@@ -32,30 +31,25 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Sequence
 
-import numpy
-
 from repro.core.alphabet import InternedProblem
 
 __all__ = [
     "KernelStats",
     "get_numpy",
     "resolve_kernel",
-    "words_for",
-    "pack_masks",
-    "unpack_masks",
     "AllowsTable",
-    "existential_edge_matrix",
 ]
-
-_WORD_BITS = 64
 
 
 def get_numpy() -> Any:
-    """The numpy module.
+    """The numpy module, imported on first call.
 
     Kept only for ``perfbench/workload.py``, which reports the numpy
-    version through it; numpy itself is a hard dependency.
+    version through it.  No derivation fold uses numpy, so importing
+    :mod:`repro` does not load it.
     """
+    import numpy
+
     return numpy
 
 
@@ -92,7 +86,9 @@ class KernelStats:
     ``enumeration_s`` the filter/antichain enumeration, ``matching_s`` the
     full step's Hall queries (prefix pruning and prefix completion),
     ``domination_s`` the streaming domination frontier, and
-    ``materialise_s`` the derived problem construction tail.
+    ``materialise_s`` the derived problem construction tail (the
+    ``compressed()`` fixpoint, the rename, and the Python-int adjacency rows
+    of the existential edge relation).
     """
 
     closed_sets_s: float = 0.0
@@ -118,37 +114,6 @@ class KernelStats:
             "configs_streamed": self.configs_streamed,
             "frontier_peak": self.frontier_peak,
         }
-
-
-# -- packing -----------------------------------------------------------------
-
-
-def words_for(bit_count: int) -> int:
-    """Number of ``uint64`` words needed for ``bit_count``-bit masks."""
-    return max(1, (bit_count + _WORD_BITS - 1) // _WORD_BITS)
-
-
-def pack_masks(masks: Sequence[int], bit_count: int) -> numpy.ndarray:
-    """Pack big-int masks into an ``(N, words)`` ``uint64`` array."""
-    words = words_for(bit_count)
-    byte_len = words * 8
-    buffer = b"".join(int(mask).to_bytes(byte_len, "little") for mask in masks)
-    return numpy.frombuffer(buffer, dtype=numpy.uint64).reshape(len(masks), words).copy()
-
-
-def unpack_masks(rows: numpy.ndarray) -> list[int]:
-    """Inverse of :func:`pack_masks`: ``(N, words)`` rows back to big ints.
-
-    Any unsigned word width reads the same way (little-endian, word 0
-    lowest), so ``numpy.packbits(..., bitorder="little")`` rows of
-    ``uint8`` unpack too.
-    """
-    data = rows.tobytes()
-    stride = rows.shape[1] * rows.itemsize
-    return [
-        int.from_bytes(data[offset : offset + stride], "little")
-        for offset in range(0, len(data), stride)
-    ]
 
 
 # -- batched Hall / matching feasibility -------------------------------------
@@ -277,35 +242,3 @@ class AllowsTable:
             rows = half
         self._cache[choice] = allowed
         return allowed
-
-
-# -- existential edge relation ----------------------------------------------
-
-
-def existential_edge_matrix(
-    used_masks: Sequence[int],
-    partner_unions: Sequence[int],
-    bit_count: int,
-    *,
-    chunk: int = 512,
-) -> numpy.ndarray:
-    """The boolean matrix of pairs ``{i, j}`` with an existential edge witness.
-
-    The pair is allowed iff the polar-partner bits of one side intersect
-    the other side (symmetric, see :func:`repro.core.speedup.full_step`),
-    evaluated as a broadcast AND of packed rows, ``chunk`` rows at a time.  One
-    ``count x count`` byte matrix, however many pairs it holds (tens of
-    millions on huge ``Pi_1``).
-    """
-    count = len(used_masks)
-    hits = numpy.zeros((count, count), dtype=bool)
-    if count == 0:
-        return hits
-    used_rows = pack_masks(used_masks, bit_count)
-    partner_rows = pack_masks(partner_unions, bit_count)
-    for start in range(0, count, chunk):
-        stop = min(start + chunk, count)
-        hits[start:stop] = numpy.any(
-            partner_rows[start:stop, None, :] & used_rows[None, :, :], axis=2
-        )
-    return hits

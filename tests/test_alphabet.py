@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.alphabet import (
     Alphabet,
+    bit_indices,
     intern,
     iter_bits,
     mask_matching_exists,
@@ -43,6 +44,11 @@ def test_alphabet_indices_and_config():
 def test_iter_bits():
     assert list(iter_bits(0)) == []
     assert list(iter_bits(0b101001)) == [0, 3, 5]
+
+
+@pytest.mark.parametrize("mask", [0, 1, 0b101001, (1 << 64) | 1, (1 << 200) - 1, 1 << 7576])
+def test_bit_indices_matches_iter_bits(mask):
+    assert bit_indices(mask) == tuple(iter_bits(mask))
 
 
 # -- interning ---------------------------------------------------------------
@@ -151,6 +157,7 @@ def test_mask_name_is_byte_identical_to_set_label_name():
     alphabet = Alphabet(NASTY_LABELS)
     for mask in range(1 << alphabet.size):
         assert alphabet.mask_name(mask) == set_label_name(alphabet.members(mask))
+        assert alphabet.indices_name(alphabet.indices(mask)) == alphabet.mask_name(mask)
 
 
 def test_nasty_labels_derive_and_translate_through_the_cache():

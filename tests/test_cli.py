@@ -15,8 +15,9 @@ from repro.problems.sinkless import sinkless_coloring
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
 
-def run_cli(*args, stdin_text=None, check=True):
+def run_cli(*args, stdin_text=None, check=True, extra_env=None):
     env = dict(os.environ)
+    env.update(extra_env or {})
     src = str(REPO_ROOT / "src")
     env["PYTHONPATH"] = src + (
         os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
@@ -151,6 +152,36 @@ def test_removed_max_configs_alias_is_a_usage_error(command):
     process = run_cli(command, "sinkless_orientation", "--max-configs", "5", check=False)
     assert process.returncode == 2
     assert "--max-configs" in process.stderr
+
+
+CLASSIFY_HANDSHAKE = ("classify", "indegree-handshake", "--delta", "2", "--max-steps", "3")
+
+
+def assert_configuration_error(process, fragment):
+    assert process.returncode == 2
+    assert process.stderr.startswith("error: invalid engine configuration: ")
+    assert fragment in process.stderr
+    assert "Traceback" not in process.stderr
+
+
+def test_unknown_executor_in_environment_is_a_usage_error():
+    process = run_cli(
+        *CLASSIFY_HANDSHAKE, check=False, extra_env={"REPRO_EXECUTOR": "thread"}
+    )
+    assert_configuration_error(process, "'thread'")
+
+
+def test_malformed_fault_plan_in_environment_is_a_usage_error():
+    process = run_cli(
+        *CLASSIFY_HANDSHAKE, check=False, extra_env={"REPRO_FAULT_PLAN": "bogus"}
+    )
+    assert_configuration_error(process, "unknown fault kind 'bogus'")
+
+
+@pytest.mark.parametrize("value", ["-1", "0"])
+def test_non_positive_max_labels_is_a_usage_error(value):
+    process = run_cli(*CLASSIFY_HANDSHAKE, "--max-labels", value, check=False)
+    assert_configuration_error(process, "max_derived_labels must be positive")
 
 
 def test_catalog_unknown_family_fails_cleanly():

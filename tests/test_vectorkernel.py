@@ -1,19 +1,22 @@
 """The derivation folds: one implementation each, checked against references.
 
 Every fold of ``half_step`` / ``full_step`` has exactly one implementation
-(``repro.core.vectorkernel`` holds the batched ones: the Hall query and
-materialisation).  These tests pin the pieces the catalog
-differential suite (``test_differential_kernel.py``) reaches only
-indirectly: the packed-row helpers, the batched Hall query against the
-scalar oracle, the filter enumeration, the streaming domination frontier,
-the scalar oracle that serves ``delta > 16``,
-multi-word packed rows, limit trips under tight limits, independence of
-the packed bit layout, and the ``kernel`` compatibility surface the
-benchmark harness still uses.
+(``repro.core.vectorkernel`` holds the batched Hall query; materialisation's
+adjacency rows live in ``repro.core.speedup``).  These tests pin the pieces
+the catalog differential suite (``test_differential_kernel.py``) reaches only
+indirectly: the batched Hall query against the scalar oracle, the filter
+enumeration, the streaming domination frontier, the scalar oracle that
+serves ``delta > 16``, masks past 64 bits, limit trips under tight limits,
+independence of the bit layout, and the ``kernel`` compatibility surface
+the benchmark harness still uses.
 """
 
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy
 import pytest
@@ -34,6 +37,8 @@ from repro.core.speedup import (
 from repro.engine import Engine, EngineConfig
 from repro.problems.catalog import catalog
 from repro.utils.multiset import multisets_of_size
+
+REPO_ROOT = Path(__file__).resolve().parents[1]
 
 
 def random_problem(seed: int) -> Problem:
@@ -64,6 +69,35 @@ def test_resolve_kernel_accepts_only_the_single_tier():
     with pytest.raises(ValueError):
         vk.resolve_kernel("gpu")
     assert vk.get_numpy() is numpy
+
+
+def _imported_modules(*command: str) -> set[str]:
+    """The modules a fresh ``python -X importtime`` run of ``command`` imports."""
+    process = subprocess.run(
+        [sys.executable, "-X", "importtime", *command],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")},
+        cwd=REPO_ROOT,
+        timeout=120,
+    )
+    assert process.returncode == 0, process.stderr
+    return {
+        line.rsplit("|", 1)[1].strip()
+        for line in process.stderr.splitlines()
+        if line.startswith("import time:") and "|" in line
+    }
+
+
+@pytest.mark.parametrize(
+    "command", [("-c", "import repro"), ("-m", "repro", "catalog")], ids=["import", "catalog"]
+)
+def test_numpy_stays_off_the_import_path(command):
+    """No derivation fold uses numpy, so neither importing the package nor a
+    CLI command loads it; ``get_numpy`` imports it on demand."""
+    modules = _imported_modules(*command)
+    assert "repro" in modules
+    assert not {name for name in modules if name.split(".")[0] == "numpy"}
 
 
 def test_engine_config_rejects_the_removed_mask_tier():
@@ -119,31 +153,6 @@ def test_cold_engine_derivation_reports_kernel_stats(name, delta):
     # always advances.
     assert stats.existential_s > 0
     assert stats.configs_streamed >= stats.frontier_peak > 0
-
-
-# -- packing ------------------------------------------------------------------
-
-
-@pytest.mark.parametrize("bit_count", [1, 7, 63, 64, 65, 128, 130, 200])
-def test_pack_unpack_roundtrip(bit_count):
-    rng = random.Random(bit_count)
-    masks = [rng.getrandbits(bit_count) for _ in range(50)] + [
-        0,
-        1,
-        (1 << bit_count) - 1,
-    ]
-    rows = vk.pack_masks(masks, bit_count)
-    assert rows.shape == (len(masks), vk.words_for(bit_count))
-    assert vk.unpack_masks(rows) == masks
-
-
-def test_words_for_boundaries():
-    assert vk.words_for(0) == 1
-    assert vk.words_for(1) == 1
-    assert vk.words_for(64) == 1
-    assert vk.words_for(65) == 2
-    assert vk.words_for(128) == 2
-    assert vk.words_for(129) == 3
 
 
 # -- filter enumeration -------------------------------------------------------
@@ -377,8 +386,8 @@ def test_scalar_completion_loop_above_delta_16(at_most_one_a):
 
 
 def test_derivation_past_the_word_boundary_matches_legacy():
-    """70 nested closed sets: the half alphabet spills materialisation's
-    packed partner rows into two ``uint64`` words."""
+    """70 nested closed sets: the half-label masks and partner bits of
+    materialisation run past 64 bits."""
     labels = [f"y{i:02d}" for i in range(70)]
     edges = [
         (labels[i], labels[j]) for i in range(70) for j in range(i, 70) if i + j < 70
@@ -486,7 +495,7 @@ def _catalog_instances():
 
 
 def assert_layout_independent(problem: Problem) -> None:
-    """Reversing the labels' sorted order reverses every packed row's bit
+    """Reversing the labels' sorted order reverses every mask's bit
     order; the derivation must stay isomorphic, or trip identically."""
     ordered = sorted(problem.labels)
     mapping = {label: f"r{len(ordered) - i:03d}" for i, label in enumerate(ordered)}
