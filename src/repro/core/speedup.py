@@ -47,8 +47,9 @@ the small instances used by the executable Theorem 1 experiments.
 
 from __future__ import annotations
 
-from collections.abc import Mapping, Sequence
+from collections.abc import Callable, Iterable, Mapping, Sequence
 from dataclasses import dataclass
+from functools import partial
 from operator import gt, lt
 from time import perf_counter
 from typing import Any
@@ -99,7 +100,9 @@ __all__ = [
 # a-priori grid bound ``C(candidates + delta - 1, delta)``, while the
 # simplified full step streams its enumeration and charges the cap
 # incrementally per prefix extension and per completion, so huge grids are
-# attempted -- and only genuinely long enumerations are refused.
+# attempted -- and only genuinely long enumerations are refused.  When the
+# stream's work might pass the cap, the full step counts that work first
+# (without computing a completion) and refuses the step before streaming.
 # ``max_live_configs`` is the streaming full step's *memory* cap: it bounds
 # the undominated candidate-configuration frontier actually held live (and
 # with it the derived problem's node constraint), replacing the retired
@@ -123,11 +126,6 @@ class HalfStepResult:
     problem: Problem
     meaning: dict[Label, frozenset[Label]]
     simplified: bool
-
-    def polar_name(self, label: Label) -> Label:
-        """Name of ``comp(meaning(label))`` -- the partner in a maximal edge pair."""
-        comp = Compatibility(self.original)
-        return set_label_name(comp.polar(self.meaning[label]))
 
     def to_dict(self) -> dict[str, object]:
         """JSON-ready form (inverse of :meth:`from_dict`)."""
@@ -459,9 +457,13 @@ def full_step(
     fed through an on-the-fly domination frontier, so there is no a-priori
     ``C(candidates + delta - 1, delta)`` refusal -- ``max_candidate_configs``
     charges enumeration work incrementally and ``max_live_configs`` caps the
-    undominated frontier actually held in memory.  The unsimplified
-    (Theorem 1) path keeps the historical a-priori grid guard.  Results
-    are identical for every limit setting that does not trip.
+    undominated frontier actually held in memory.  A step whose work will
+    pass ``max_candidate_configs`` before its frontier can pass
+    ``max_live_configs`` is refused before any completion is streamed, with
+    the error the stream would raise; ``stats`` then keeps its stream
+    counters at zero.  The unsimplified (Theorem 1) path keeps the
+    historical a-priori grid guard.  Results, and which limit trips with
+    which ``observed`` count, are identical for every limit setting.
     """
     half_problem = half.problem
     meaning = half.meaning
@@ -535,7 +537,8 @@ def full_step(
         # and the completions *stream* through a domination frontier, so the
         # historical a-priori grid refusal is retired on this path: memory is
         # bounded by the surviving frontier (``max_live_configs``) and time
-        # by the incremental work charge (``max_candidate_configs``).
+        # by the incremental work charge (``max_candidate_configs``), counted
+        # ahead of the stream when it might trip.
         frontier = _MaskFrontier(max_live_configs)
         _stream_maximal_configs(
             candidate_masks,
@@ -769,6 +772,8 @@ def _multiset_count(universe: int, size: int) -> int:
     """Number of multisets of ``size`` elements over ``universe`` symbols."""
     from math import comb
 
+    if size == 0:
+        return 1
     return comb(universe + size - 1, size)
 
 
@@ -924,6 +929,90 @@ def _enumerate_universal_configs(
     return sorted(set(results))
 
 
+def _walk_prefixes(
+    candidate_count: int,
+    delta: int,
+    mins: Sequence[tuple[int, ...]],
+    half_count: int,
+    allowed_next: Callable[[tuple[int, ...]], int],
+    max_candidate_configs: int,
+    leaf: Callable[[list[int], list[tuple[int, ...]]], None],
+    stats: KernelStats,
+) -> None:
+    """Walk the extendable (delta-1)-prefixes in DFS order, calling ``leaf``.
+
+    Prefixes are non-decreasing tuples of candidate ranks.  Every inner node
+    asks the Hall oracle once per min-choice of its prefix; the AND of the
+    answers is the set of half labels that extend every min-choice, so a
+    candidate extends the prefix iff its minimal elements all lie in it.
+    ``leaf`` gets each extendable (delta-1)-prefix (the walk's own list,
+    valid only during the call) and the min-choices of the prefix without
+    its last component, in ``itertools.product`` order (for ``delta == 1``,
+    the empty prefix and ``[()]``): a leaf that needs the full min-choices
+    extends them itself, so one that does not never builds them.
+
+    The walk charges ``max_candidate_configs`` one unit per prefix extension
+    attempted and one per leaf, each before it happens, and raises
+    ``EngineLimitError`` on the unit past the cap.
+    """
+    all_labels = (1 << half_count) - 1
+    min_masks = [_bits_mask(minimal) for minimal in mins]
+    prefix: list[int] = []
+    work = 0
+
+    def extend(start: int, choices: list[tuple[int, ...]]) -> None:
+        nonlocal work
+        started = perf_counter()
+        allowed = all_labels
+        for choice in choices:
+            allowed &= allowed_next(choice)
+        stats.matching_s += perf_counter() - started
+        excluded = ~allowed
+        for index in range(start, candidate_count):
+            work += 1
+            if work > max_candidate_configs:
+                raise _work_limit_error(max_candidate_configs)
+            if not min_masks[index] & excluded:
+                prefix.append(index)
+                if len(prefix) < delta - 1:
+                    extend(index, [(*c, m) for c in choices for m in mins[index]])
+                else:
+                    work += 1
+                    if work > max_candidate_configs:
+                        raise _work_limit_error(max_candidate_configs)
+                    leaf(prefix, choices)
+                prefix.pop()
+
+    if delta > 1:
+        extend(0, [()])
+    elif max_candidate_configs < 1:
+        raise _work_limit_error(max_candidate_configs)
+    else:
+        leaf(prefix, [()])
+
+
+def _work_limit_error(max_candidate_configs: int) -> EngineLimitError:
+    """The streaming full step's ``max_candidate_configs`` trip."""
+    return EngineLimitError(
+        f"streaming full step exceeded {max_candidate_configs} "
+        f"enumeration steps (prefix extensions plus completions)",
+        limit_name="max_candidate_configs",
+        limit=max_candidate_configs,
+        observed=max_candidate_configs + 1,
+    )
+
+
+def _stream_work_bound(candidate_count: int, delta: int) -> int:
+    """An a-priori bound on the work units :func:`_stream_maximal_configs` charges.
+
+    A prefix of length ``d`` tries each candidate from its last rank on, so
+    the extensions tried at depth ``d`` number at most the multisets of size
+    ``d + 1``; the completions number at most the (delta-1)-prefixes.
+    """
+    extensions = sum(_multiset_count(candidate_count, size) for size in range(1, delta))
+    return extensions + _multiset_count(candidate_count, delta - 1)
+
+
 def _stream_maximal_configs(
     candidates: Sequence[int],
     rank_of: Mapping[int, int],
@@ -951,43 +1040,54 @@ def _stream_maximal_configs(
     maximal set -- the same result the exhaustive delta-tuple walk produces,
     at a whole exponent less work, and *streamed*: each completion is
     filtered on the fly, so memory tracks the undominated frontier instead
-    of the full completion multiset.
-
-    Every DFS node asks the Hall oracle once per min-choice of its prefix:
-    the AND of the answers is ``U`` at a full prefix and, at a shorter one,
-    the half labels that extend every min-choice, so a candidate extends
-    the prefix iff its minimal elements all lie in it.  Prefixes hold
-    candidate *ranks* (positions in ``candidates``), so a configuration
-    sorts as ints; ``rank_of`` maps each candidate back to its rank.
+    of the full completion multiset.  Prefixes hold candidate *ranks*
+    (positions in ``candidates``), so a configuration sorts as ints;
+    ``rank_of`` maps each candidate back to its rank.
 
     ``max_candidate_configs`` is charged incrementally -- one unit per prefix
     extension attempted and per completion computed -- in deterministic DFS
-    order.
+    order.  Those units are fixed by the prefix walk alone, so when the
+    a-priori :func:`_stream_work_bound` exceeds the cap, the same walk is
+    first run with a leaf that only counts (no completion's Hall queries,
+    up-closure or frontier insert).  If the count passes the cap while at
+    most ``frontier.max_live`` completions come before the trip, the stream
+    would trip on candidates before the frontier could outgrow its cap, so
+    the step is refused at once with the error the stream would raise
+    (``observed = max_candidate_configs + 1``) and ``stats`` untouched.
+    Otherwise the stream runs unchanged.
     """
+    walk = partial(
+        _walk_prefixes,
+        len(candidates),
+        delta,
+        mins,
+        half_count,
+        hall.allowed_next,
+        max_candidate_configs,
+    )
+    if _stream_work_bound(len(candidates), delta) > max_candidate_configs:
+        completions = 0
+
+        def count(prefix: list[int], choices: list[tuple[int, ...]]) -> None:
+            nonlocal completions
+            completions += 1
+
+        try:
+            walk(count, KernelStats())
+        except EngineLimitError:
+            if completions <= frontier.max_live:
+                raise
+
+    allowed_next = hall.allowed_next
     all_labels = (1 << half_count) - 1
-    min_masks = [_bits_mask(minimal) for minimal in mins]
+    insert = frontier.insert
     # U -> (rank of its up-closure); the same U recurs across prefixes.
     completion_rank: dict[int, int] = {}
-    allowed_next = hall.allowed_next
-    insert = frontier.insert
-    prefix: list[int] = []
-    work = 0
 
-    def charge() -> None:
-        nonlocal work
-        work += 1
-        if work > max_candidate_configs:
-            raise EngineLimitError(
-                f"streaming full step exceeded {max_candidate_configs} "
-                f"enumeration steps (prefix extensions plus completions)",
-                limit_name="max_candidate_configs",
-                limit=max_candidate_configs,
-                observed=work,
-            )
-
-    def complete(choices: list[tuple[int, ...]]) -> None:
-        """Compute U for the current prefix and stream its completion."""
-        charge()
+    def complete(prefix: list[int], choices: Iterable[tuple[int, ...]]) -> None:
+        """Compute U for the prefix and stream its completion."""
+        if prefix:
+            choices = ((*c, m) for c in choices for m in mins[prefix[-1]])
         started = perf_counter()
         allowed = all_labels
         calls = 0
@@ -1015,24 +1115,7 @@ def _stream_maximal_configs(
         stats.domination_s += perf_counter() - started
         stats.configs_streamed += 1
 
-    def extend(start: int, choices: list[tuple[int, ...]]) -> None:
-        if len(prefix) == delta - 1:
-            complete(choices)
-            return
-        started = perf_counter()
-        allowed = all_labels
-        for choice in choices:
-            allowed &= allowed_next(choice)
-        stats.matching_s += perf_counter() - started
-        for index in range(start, len(candidates)):
-            charge()
-            if min_masks[index] & ~allowed == 0:
-                prefix.append(index)
-                # The min-choices in ``itertools.product`` order.
-                extend(index, [(*c, m) for c in choices for m in mins[index]])
-                prefix.pop()
-
-    extend(0, [()])
+    walk(complete, stats)
 
 
 class _MaskFrontier:
@@ -1066,7 +1149,7 @@ class _MaskFrontier:
     """
 
     def __init__(self, max_live: int):
-        self._max_live = max_live
+        self.max_live = max_live
         self._entries: dict[
             tuple[int, ...], tuple[int, tuple[int, ...], int]
         ] = {}
@@ -1113,13 +1196,13 @@ class _MaskFrontier:
         entries[config] = (total, popcounts, union)
         if len(entries) > self.peak:
             self.peak = len(entries)
-        if len(entries) > self._max_live:
+        if len(entries) > self.max_live:
             raise EngineLimitError(
-                f"streaming full step holds more than {self._max_live} "
+                f"streaming full step holds more than {self.max_live} "
                 f"undominated candidate configurations",
                 limit_name="max_live_configs",
-                limit=self._max_live,
-                observed=self._max_live + 1,
+                limit=self.max_live,
+                observed=self.max_live + 1,
             )
 
     def survivors(self) -> list[tuple[int, ...]]:

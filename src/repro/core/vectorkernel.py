@@ -89,6 +89,14 @@ class KernelStats:
     ``materialise_s`` the derived problem construction tail (the
     ``compressed()`` fixpoint, the rename, and the Python-int adjacency rows
     of the existential edge relation).
+
+    A full step refused before its stream (its work would pass
+    ``max_candidate_configs`` first) leaves the stream counters --
+    ``matching_s``, ``domination_s``, ``matching_calls``,
+    ``configs_streamed`` and ``frontier_peak`` -- at zero rather than
+    partial: the refusal computes no completion, and the time its counting
+    walk takes is not a fold.  ``frontier_peak`` is recorded only when the
+    stream completes.
     """
 
     closed_sets_s: float = 0.0

@@ -68,11 +68,14 @@ class EngineConfig:
         poset in the simplified path, raw subset masks in the Theorem 1
         path).  ``max_candidate_configs`` bounds the enumeration *work* of
         the streaming simplified full step (one unit per prefix extension
-        and per completion) and remains the a-priori grid bound
-        ``C(candidates + delta - 1, delta)`` on the half step and the
-        unsimplified Theorem 1 path.  ``max_live_configs`` caps the
-        undominated candidate frontier the streaming full step holds in
-        memory -- the retired grid refusal's replacement: huge-Pi_1
+        and per completion); a step whose work would pass it before the
+        frontier could pass ``max_live_configs`` is refused up front, by
+        counting that work without computing a completion, with the same
+        error and ``observed`` count the stream would report.  It remains
+        the a-priori grid bound ``C(candidates + delta - 1, delta)`` on the
+        half step and the unsimplified Theorem 1 path.  ``max_live_configs``
+        caps the undominated candidate frontier the streaming full step
+        holds in memory -- the retired grid refusal's replacement: huge-Pi_1
         derivations are attempted, and refused only when the *surviving*
         frontier (hence the derived node constraint) would actually exceed
         the cap.  Within the guards the kernel's pruned prefix search does

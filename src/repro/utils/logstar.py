@@ -20,13 +20,6 @@ def log2_ceil(n: int) -> int:
     return (n - 1).bit_length()
 
 
-def log2_floor(n: int) -> int:
-    """Return ``floor(log2(n))`` for a positive integer ``n``."""
-    if n <= 0:
-        raise ValueError("log2_floor requires a positive integer")
-    return n.bit_length() - 1
-
-
 def log_star(n: int, base: int = 2) -> int:
     """Return the iterated logarithm ``log*`` of ``n``.
 

@@ -4,22 +4,16 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.utils.logstar import log2_ceil, log2_floor, log_star, tower
+from repro.utils.logstar import log2_ceil, log_star, tower
 
 
 def test_log2_ceil_values():
     assert [log2_ceil(n) for n in (1, 2, 3, 4, 5, 8, 9)] == [0, 1, 2, 2, 3, 3, 4]
 
 
-def test_log2_floor_values():
-    assert [log2_floor(n) for n in (1, 2, 3, 4, 7, 8)] == [0, 1, 1, 2, 2, 3]
-
-
 def test_log2_rejects_nonpositive():
     with pytest.raises(ValueError):
         log2_ceil(0)
-    with pytest.raises(ValueError):
-        log2_floor(-3)
 
 
 def test_log_star_values():

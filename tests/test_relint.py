@@ -190,7 +190,6 @@ _DEADCODE_PIN = {
     ("src/repro/core/galois.py", "closed_sets"),
     ("src/repro/core/galois.py", "usable_closed_sets"),
     ("src/repro/core/problem.py", "allows_node"),
-    ("src/repro/core/speedup.py", "polar_name"),
     ("src/repro/engine/engine.py", "cache_stats"),
     ("src/repro/engine/engine.py", "clear_cache"),
     ("src/repro/engine/engine.py", "speedup_many"),
@@ -202,7 +201,6 @@ _DEADCODE_PIN = {
     ("src/repro/sim/speedup_exec.py", "all_ok"),
     ("src/repro/superweak/lemma1.py", "lemma_conclusion_holds"),
     ("src/repro/superweak/weak9.py", "matches_paper"),
-    ("src/repro/utils/logstar.py", "log2_floor"),
     ("src/repro/utils/matching.py", "can_realize"),
     ("src/repro/utils/multiset.py", "multiset_union"),
     ("src/repro/utils/orders.py", "maximal_elements"),
