@@ -196,10 +196,9 @@ class InternedProblem:
     adjacency:
         ``adjacency[i]`` is the mask of labels ``j`` with ``{i, j}`` in the
         edge constraint -- the singleton polar of label ``i``, and the
-        building block of every compatibility / Galois computation.
-    edge_pairs:
-        The edge constraint as ``(i, j)`` index pairs with ``i <= j``,
-        derived from ``adjacency`` on first read.
+        building block of every compatibility / Galois computation.  It is
+        the only form of the edge constraint the view holds: relaxation
+        checks and move targets work on these rows, never on index pairs.
     node_configs:
         The node constraint as sorted index tuples, in sorted order (which
         coincides with the legacy sorted-name-tuple order).
@@ -217,7 +216,6 @@ class InternedProblem:
         "problem",
         "alphabet",
         "adjacency",
-        "_edge_pairs",
         "node_configs",
         "node_config_set",
         "config_supports",
@@ -234,23 +232,19 @@ class InternedProblem:
         index = alphabet.index
 
         edges = problem.edge_constraint
-        self._edge_pairs: frozenset[tuple[LabelIndex, LabelIndex]] | None = None
         if isinstance(edges, EdgeRelation) and edges.names == alphabet.names:
-            # The full step's masks are already over this alphabet's order;
-            # the index pairs are derived from them only if read.
+            # Derived problems and move targets carry their masks over this
+            # alphabet's order already.
             self.adjacency: tuple[LabelMask, ...] = cast(
                 "tuple[LabelMask, ...]", edges.masks
             )
         else:
             adjacency = [0] * alphabet.size
-            edge_pairs = set()
             for a, b in edges:
                 ia, ib = index[a], index[b]
                 adjacency[ia] |= 1 << ib
                 adjacency[ib] |= 1 << ia
-                edge_pairs.add((ia, ib) if ia <= ib else (ib, ia))
             self.adjacency = tuple(LabelMask(mask) for mask in adjacency)
-            self._edge_pairs = frozenset(edge_pairs)
 
         configs = sorted(
             tuple(index[label] for label in config)
@@ -284,16 +278,6 @@ class InternedProblem:
         # Canonical-form slot, owned by repro.core.canonical (every cache
         # and dedup layer keys on it; see canonical_form).
         self._canonical_form: CanonicalForm | None = None
-
-    @property
-    def edge_pairs(self) -> frozenset[tuple[LabelIndex, LabelIndex]]:
-        if self._edge_pairs is None:
-            self._edge_pairs = frozenset(
-                (LabelIndex(first), second)
-                for first, mask in enumerate(self.adjacency)
-                for second in iter_bits(mask >> first << first)
-            )
-        return self._edge_pairs
 
     def configs_with_label(self, label_index: LabelIndex) -> tuple[int, ...]:
         """Indices into ``node_configs`` of the configurations using a label.

@@ -250,7 +250,19 @@ class Problem:
         if self.delta < 1:
             raise ProblemError("delta must be at least 1")
         labels = self.labels
-        for pair in self.edge_constraint:
+        edges: Iterable[EdgeConfig] = self.edge_constraint
+        if isinstance(edges, EdgeRelation):
+            # Adjacency rows are checked in O(labels), never as string pairs.
+            names, size = edges.names, len(edges.names)
+            if (
+                list(names) != sorted(set(names))
+                or len(edges.masks) != size
+                or not labels.issuperset(names)
+                or any(mask >> size for mask in edges.masks)
+            ):
+                raise ProblemError(f"malformed adjacency rows over {size} labels")
+            edges = ()
+        for pair in edges:
             if len(pair) != 2:
                 raise ProblemError(f"edge configuration {pair!r} is not a pair")
             first, second = pair
@@ -287,7 +299,8 @@ class Problem:
         """Trusted constructor that skips ``__post_init__`` validation.
 
         Invariants are checked once, where a problem enters the system:
-        ``Problem(...)``, :meth:`make` and :meth:`from_dict`.  This
+        ``Problem(...)``, :meth:`make`, :meth:`from_adjacency` and
+        :meth:`from_dict`.  This
         constructor is for transforms whose input was already validated and
         which preserve the invariants by construction (canonical sorted
         pairs and tuples, ``delta``-length node configurations, every
@@ -296,9 +309,9 @@ class Problem:
         path (:meth:`__setstate__`) likewise restores fields unchecked.
 
         Sanctioned callers: this module's transforms (:meth:`with_name`,
-        :meth:`compressed`, :meth:`restricted`, :meth:`renamed`) and the full
-        step's materialisation in :mod:`repro.core.speedup`, which emits
-        sorted pairs and tuples over its own freshly minted alphabet.
+        :meth:`compressed`, :meth:`restricted`, :meth:`renamed`) and the half
+        and full steps in :mod:`repro.core.speedup`, which emit sorted pairs
+        and tuples over their own freshly minted alphabets.
         Everything else goes through ``Problem(...)`` or :meth:`make`; the
         ``trusted-constructor`` lint rule enforces this.
         """
@@ -309,6 +322,23 @@ class Problem:
         object.__setattr__(problem, "edge_constraint", edge_constraint)
         object.__setattr__(problem, "node_constraint", node_constraint)
         return problem
+
+    @staticmethod
+    def from_adjacency(
+        name: str,
+        delta: int,
+        names: tuple[Label, ...],
+        rows: tuple[int, ...],
+        node_configs: Iterable[NodeConfig],
+    ) -> "Problem":
+        """Build a problem whose edge constraint stays adjacency rows.
+
+        ``names`` is the sorted alphabet and bit ``j`` of the symmetric row
+        ``rows[i]`` allows ``{names[i], names[j]}``: the
+        :class:`EdgeRelation` form, validated without building a string pair.
+        """
+        edges = EdgeRelation(names, rows)
+        return Problem(name, delta, frozenset(names), edges, frozenset(node_configs))
 
     @staticmethod
     def make(

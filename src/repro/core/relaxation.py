@@ -15,19 +15,22 @@ used for upper bounds (Section 4.5): restricting the derived problem's labels
 yields a problem at least as hard whose solutions still solve the original.
 
 Both the map checker and the map search run on the interned index view
-(:mod:`repro.core.alphabet`): label maps become index arrays, configuration
+(:mod:`repro.core.alphabet`): label maps become index arrays, edges are
+adjacency rows (one label mask per label, never index pairs), configuration
 images are sorted index tuples checked against the target's interned
 constraint sets, and the backtracking search validates only the constraints
-completed by each new assignment instead of rescanning everything.
+completed by each new assignment instead of rescanning everything.  One
+row-level image check, :func:`check_row_image`, serves both certificate
+verification and the move generator's soundness gate.
 """
 
 from __future__ import annotations
 
-from collections.abc import Collection, Mapping, Sequence
+from collections.abc import Collection, Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from typing import Any
 
-from repro.core.alphabet import Direction, intern
+from repro.core.alphabet import Direction, intern, iter_bits
 from repro.core.problem import Label, Problem
 
 # The two certified directions: a *relaxation* target is provably no harder
@@ -90,40 +93,53 @@ class RelaxationCertificate:
 _UNMAPPED = -1
 
 
-def check_index_image(
+def row_images(image: Sequence[int], rows: Iterable[int]) -> Iterator[int]:
+    """The image of each adjacency row under the index map ``image``.
+
+    Bit ``image[j]`` is set for every mapped neighbour ``j``; labels with
+    ``image[j] == j`` keep their bits in one mask operation, so a row costs
+    O(moved labels), not O(neighbours).
+    """
+    moved = 0
+    for index, target_label in enumerate(image):
+        if target_label != index:
+            moved |= 1 << index
+    fixed = ~moved
+    for row in rows:
+        mapped = row & fixed
+        for neighbour in iter_bits(row & moved):
+            neighbour_image = image[neighbour]
+            if neighbour_image != _UNMAPPED:
+                mapped |= 1 << neighbour_image
+        yield mapped
+
+
+def check_row_image(
     image: Sequence[int],
-    source_edge_pairs: Collection[tuple[int, int]],
-    source_node_configs: Collection[tuple[int, ...]],
-    target_edge_pairs: Collection[tuple[int, int]],
+    source_rows: Sequence[int],
+    source_node_configs: Iterable[tuple[int, ...]],
+    target_rows: Sequence[int],
     target_node_configs: Collection[tuple[int, ...]],
 ) -> bool:
-    """The mask-level core of the relaxation check: image validity on indices.
+    """The image check of :func:`is_relaxation_map` and of the move
+    generator's soundness gate: does ``image`` map the source constraints
+    into the target's?
 
     ``image[i]`` is the target index of source label ``i`` (``_UNMAPPED``
-    for unmapped labels).  Every source edge pair and node configuration
-    fully inside the mapped labels must land inside the target's interned
-    constraint sets; configurations touching an unmapped (hence unusable)
-    label never occur in a correct solution and are skipped.  This is the
-    path the mask-native move generator certifies candidates on before any
-    string surface exists; :func:`is_relaxation_map` wraps it for the
-    public string API.
+    for unmapped labels).  For each mapped source label ``i``, the image of
+    its adjacency row must lie inside ``target_rows[image[i]]``, and every
+    node configuration's image must be in ``target_node_configs``.  Pairs
+    and configurations touching an unmapped (hence unusable) label never
+    occur in a correct solution and are skipped.
     """
-    for a, b in source_edge_pairs:
-        ia, ib = image[a], image[b]
-        if ia == _UNMAPPED or ib == _UNMAPPED:
-            continue
-        if ((ia, ib) if ia <= ib else (ib, ia)) not in target_edge_pairs:
+    for index, mapped in enumerate(row_images(image, source_rows)):
+        target_label = image[index]
+        if target_label != _UNMAPPED and mapped & ~target_rows[target_label]:
             return False
     for config in source_node_configs:
-        mapped = []
-        complete = True
-        for label_index in config:
-            target_label = image[label_index]
-            if target_label == _UNMAPPED:
-                complete = False
-                break
-            mapped.append(target_label)
-        if complete and tuple(sorted(mapped)) not in target_node_configs:
+        # _UNMAPPED sorts first, so one test finds a skipped configuration.
+        mapped_config = tuple(sorted([image[label_index] for label_index in config]))
+        if mapped_config[0] != _UNMAPPED and mapped_config not in target_node_configs:
             return False
     return True
 
@@ -155,11 +171,11 @@ def is_relaxation_map(
         target_index[mapping[name]] if name in mapping else _UNMAPPED
         for name in left.alphabet.names
     ]
-    return check_index_image(
+    return check_row_image(
         image,
-        left.edge_pairs,
+        left.adjacency,
         left.node_configs,
-        right.edge_pairs,
+        right.adjacency,
         right.node_config_set,
     )
 
@@ -228,23 +244,25 @@ def find_relaxation_map(
     # Constraints become checkable exactly when their last label is bound.
     edge_checks: list[list[tuple[int, int]]] = [[] for _ in usable]
     node_checks: list[list[tuple[int, ...]]] = [[] for _ in usable]
-    for a, b in left.edge_pairs:
-        if a in position_of and b in position_of:
-            edge_checks[max(position_of[a], position_of[b])].append((a, b))
+    for a, row in enumerate(left.adjacency):
+        if a not in position_of:
+            continue
+        for b in iter_bits(row >> a << a):
+            if b in position_of:
+                edge_checks[max(position_of[a], position_of[b])].append((a, b))
     for config in left.node_configs:
         positions = [position_of.get(label_index) for label_index in set(config)]
         if all(p is not None for p in positions):
             node_checks[max(positions)].append(config)
 
-    right_edges = right.edge_pairs
+    right_rows = right.adjacency
     right_configs = right.node_config_set
     target_count = right.alphabet.size
     image = [_UNMAPPED] * left.alphabet.size
 
     def consistent(position: int) -> bool:
         for a, b in edge_checks[position]:
-            ia, ib = image[a], image[b]
-            if ((ia, ib) if ia <= ib else (ib, ia)) not in right_edges:
+            if not right_rows[image[a]] >> image[b] & 1:
                 return False
         for config in node_checks[position]:
             mapped = tuple(sorted(image[label_index] for label_index in config))
@@ -286,24 +304,4 @@ def is_harder_restriction(source: Problem, restricted: Problem) -> bool:
         and restricted.labels <= source.labels
         and restricted.edge_constraint <= source.edge_constraint
         and restricted.node_constraint <= source.node_constraint
-    )
-
-
-def certify_hardening(source: Problem, restricted: Problem) -> RelaxationCertificate:
-    """Validate the Section 4.5 restriction and wrap it in a certificate.
-
-    The certificate's map is the inclusion (identity on the kept labels) and
-    its ``direction`` is :data:`HARDENS`: the target is at least as hard as
-    the source, and any solution of it solves the source verbatim.  Raises
-    ``ValueError`` when ``restricted`` does not embed in ``source``.
-    """
-    if not is_harder_restriction(source, restricted):
-        raise ValueError(
-            f"{restricted.name} is not a constraint restriction of {source.name}"
-        )
-    return RelaxationCertificate(
-        source_name=source.name,
-        target_name=restricted.name,
-        mapping={label: label for label in restricted.labels},
-        direction=HARDENS,
     )

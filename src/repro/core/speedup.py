@@ -423,7 +423,9 @@ def half_step(
     if stats is not None:
         stats.existential_s += perf_counter() - started
 
-    derived = Problem(
+    # Canonical by construction (edge_config pairs over the derived names,
+    # node tuples emitted in non-decreasing name order), so skip validation.
+    derived = Problem._from_canonical(
         name=f"{problem.name}|half" + ("" if simplify else "|raw"),
         delta=problem.delta,
         labels=frozenset(meaning),

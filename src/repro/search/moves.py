@@ -3,15 +3,15 @@
 The search relaxes derived problems with certified moves.  Move *candidates*
 are generated and applied directly on the interned bitmask view
 (:class:`~repro.core.alphabet.InternedProblem`): a candidate is a small
-descriptor (a label index pair, a restriction mask), its application is an
-index-level rewrite of the interned constraint sets, and deduplication,
-emptiness and self-move filtering, and the soundness gate all run before any
-string surface exists.  Only the candidates that survive -- at most
-``max_moves`` of them -- are materialised into :class:`~repro.core.problem.
-Problem` objects with :class:`~repro.core.relaxation.RelaxationCertificate`
-label maps.  On large derived alphabets (a 976-label ``Pi_1`` has ~950k
-ordered label pairs) this is the difference between move generation dying in
-string rewrites and finishing in milliseconds.
+descriptor (a label index pair, a restriction mask), its application is a
+rewrite of the adjacency rows and node configurations, and deduplication,
+emptiness and self-move filtering, and the soundness gate -- the row-level
+image check certificate verification runs too -- all run before any string
+surface exists.  The at most ``max_moves`` survivors become
+:class:`~repro.core.problem.Problem` objects whose edge constraints stay
+adjacency rows (:class:`~repro.core.problem.EdgeRelation`), with
+:class:`~repro.core.relaxation.RelaxationCertificate` label maps: on a
+976-label ``Pi_1`` (~373k edge pairs) no string pair is ever built.
 
 Relaxation move families, in deterministic least-relaxing-first order:
 
@@ -37,9 +37,10 @@ Relaxation move families, in deterministic least-relaxing-first order:
 :func:`generate_hardenings` produces the dual Section 4.5 moves for
 upper-bound chasing: diagram-guided constraint *restrictions* (keep only the
 maximal labels, or shed one dominated label without keeping its rewired
-configurations), each certified by
-:func:`~repro.core.relaxation.certify_hardening`.  Hardenings are at least
-as hard as their source and are never offered to the lower-bound driver.
+configurations), each passing the same row gate in the other direction (the
+target's rows and configurations lie inside the source's).  Hardenings are
+at least as hard as their source and are never offered to the lower-bound
+driver.
 
 All move families share one strength diagram: the replaceability grid is
 computed at most once per interned problem
@@ -50,10 +51,10 @@ repeatedly never rebuilds it.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 
-from repro.core.alphabet import InternedProblem, intern, iter_bits
+from repro.core.alphabet import InternedProblem, LabelMask, intern, iter_bits
 from repro.core.canonical import canonical_hash
 from repro.core.diagram import compute_stronger_masks
 from repro.core.problem import Label, Problem
@@ -61,9 +62,8 @@ from repro.core.relaxation import (
     HARDENS,
     RELAXES,
     RelaxationCertificate,
-    certify_hardening,
-    certify_relaxation,
-    check_index_image,
+    check_row_image,
+    row_images,
 )
 
 MERGE_EQUIVALENTS = "merge-equivalents"
@@ -71,18 +71,6 @@ DROP = "drop"
 ADDARROW = "addarrow"
 MERGE = "merge"
 HARDEN = "harden"
-
-# Above this description size, the rename-twin dedup and the redundant
-# string-level re-certification are skipped.  Measured on a 2-vCPU host on
-# the 976-label weak-3-coloring Pi_1 (size 747,838): ``generate_moves(
-# max_moves=24)`` takes 28-30 s without them; hashing its 24 targets would
-# add about 20 s (0.5-0.8 s each: a target is frozenset-backed, so interning
-# rebuilds the adjacency from ~373k string pairs, while the mask-backed Pi_1
-# itself hashes in 0.22-0.27 s) and the re-certification about 7 s more.
-# The exact-signature dedup and the mask-level soundness gate always run;
-# the search driver canonically dedups its beam candidates anyway, so a
-# rename-twin slipping through costs a slot, never soundness.
-_EXPENSIVE_TARGET_SIZE = 50_000
 
 #: Relaxation move kinds in generation order.
 RELAXATION_KINDS = (MERGE_EQUIVALENTS, DROP, MERGE, ADDARROW)
@@ -130,22 +118,15 @@ class RelaxationMove:
 class _MaskTarget:
     """An index-level candidate target: constraints over the source alphabet.
 
-    ``label_mask`` is the mask of surviving source labels; ``edge_pairs`` and
-    ``node_configs`` use source label indices.  ``image`` records the move's
-    label map as an index array (``image[i] == i`` outside the collapse);
-    entries of dropped-without-certifying-map labels are ``-1`` only for
-    hardenings, where the certificate is the inclusion, not a total map.
+    ``rows`` holds one adjacency mask per source label (zero for dropped
+    labels) and ``node_configs`` sorted source index tuples.  ``image``
+    records the move's label map as an index array (``image[i] == i``
+    outside the collapse); entries of dropped-without-certifying-map labels
+    are ``-1`` only for hardenings, where the certificate is the inclusion,
+    not a total map.  The surviving labels, ``label_mask``, are the image.
     """
 
-    __slots__ = (
-        "kind",
-        "name",
-        "label_mask",
-        "edge_pairs",
-        "node_configs",
-        "image",
-        "detail",
-    )
+    __slots__ = ("kind", "name", "label_mask", "rows", "node_configs", "image", "detail")
 
     # Scratch container: the candidate builders assemble masks and index
     # tuples with plain-int arithmetic, so the fields stay `int` here; the
@@ -155,57 +136,38 @@ class _MaskTarget:
         self,
         kind: str,
         name: str,
-        label_mask: int,
-        edge_pairs: frozenset[tuple[int, int]],
+        rows: tuple[int, ...],
         node_configs: tuple[tuple[int, ...], ...],
         image: list[int],
         detail: str = "",
     ) -> None:
         self.kind = kind
         self.name = name
-        self.label_mask = label_mask
-        self.edge_pairs = edge_pairs
+        self.label_mask = 0
+        for label in image:
+            if label >= 0:
+                self.label_mask |= 1 << label
+        self.rows = rows
         self.node_configs = node_configs
         self.image = image
         self.detail = detail
 
     def signature(self) -> tuple[object, ...]:
-        return (self.label_mask, self.edge_pairs, self.node_configs)
+        return (self.label_mask, self.rows, self.node_configs)
 
     def is_empty(self) -> bool:
-        return not self.edge_pairs or not self.node_configs
-
-
-def _source_signature(interned: InternedProblem) -> tuple[object, ...]:
-    return (
-        interned.alphabet.full_mask,
-        interned.edge_pairs,
-        interned.node_configs,
-    )
+        return not any(self.rows) or not self.node_configs
 
 
 def _image_target(
     interned: InternedProblem, kind: str, name: str, image: list[int]
 ) -> _MaskTarget:
     """Apply a total index map: the image problem under the collapse."""
-    edge_pairs = set()
-    for a, b in interned.edge_pairs:
-        ia, ib = image[a], image[b]
-        edge_pairs.add((ia, ib) if ia <= ib else (ib, ia))
-    node_configs = tuple(
-        sorted(
-            {
-                tuple(sorted(image[i] for i in config))
-                for config in interned.node_configs
-            }
-        )
-    )
-    label_mask = 0
-    for index in range(interned.alphabet.size):
-        label_mask |= 1 << image[index]
-    return _MaskTarget(
-        kind, name, label_mask, frozenset(edge_pairs), node_configs, image
-    )
+    rows = [0] * interned.alphabet.size
+    for index, mapped in enumerate(row_images(image, interned.adjacency)):
+        rows[image[index]] |= mapped
+    node_configs = {tuple(sorted(image[i] for i in config)) for config in interned.node_configs}
+    return _MaskTarget(kind, name, tuple(rows), tuple(sorted(node_configs)), image)
 
 
 def _drop_target(
@@ -218,8 +180,9 @@ def _drop_target(
     mapped configuration back inside the kept ones).
     """
     bit = 1 << a
-    edge_pairs = frozenset(
-        pair for pair in interned.edge_pairs if a not in pair
+    rows = tuple(
+        0 if index == a else row & ~bit
+        for index, row in enumerate(interned.adjacency)
     )
     with_a = set(interned.configs_with_label(a))
     node_configs = tuple(
@@ -229,9 +192,7 @@ def _drop_target(
     )
     image = list(range(interned.alphabet.size))
     image[a] = b
-    return _MaskTarget(
-        DROP, name, interned.alphabet.full_mask & ~bit, edge_pairs, node_configs, image
-    )
+    return _MaskTarget(DROP, name, rows, node_configs, image)
 
 
 def _addarrow_target(
@@ -242,15 +203,17 @@ def _addarrow_target(
     The constraints only grow, so the identity map certifies the target as a
     relaxation; both labels stay in the alphabet.
     """
-    edge_pairs = set(interned.edge_pairs)
-    for x, y in interned.edge_pairs:
-        if a in (x, y):
-            nx = b if x == a else x
-            ny = b if y == a else y
-            edge_pairs.add((nx, ny) if nx <= ny else (ny, nx))
-            # Both endpoints were `a`: the single-replacement variant too.
-            if x == a and y == a:
-                edge_pairs.add((a, b) if a <= b else (b, a))
+    rows = list(interned.adjacency)
+    bit_a, bit_b = 1 << a, 1 << b
+    others = rows[a] & ~bit_a
+    # Every allowed {a, y} gains {b, y}; an allowed {a, a} gains the
+    # single-replacement variant {a, b} as well as {b, b}.
+    for other in iter_bits(others):
+        rows[other] |= bit_b
+    rows[b] |= others
+    if rows[a] & bit_a:
+        rows[a] |= bit_b
+        rows[b] |= bit_a | bit_b
     node_configs = set(interned.node_configs)
     for index in interned.configs_with_label(a):
         config = list(interned.node_configs[index])
@@ -265,8 +228,7 @@ def _addarrow_target(
     return _MaskTarget(
         ADDARROW,
         name,
-        interned.alphabet.full_mask,
-        frozenset(edge_pairs),
+        tuple(rows),
         tuple(sorted(node_configs)),
         image,
         detail=f"{names[a]}~>{names[b]}",
@@ -277,10 +239,9 @@ def _restrict_target(
     interned: InternedProblem, keep_mask: int, name: str
 ) -> _MaskTarget:
     """The Section 4.5 restriction: keep only configurations inside ``keep_mask``."""
-    edge_pairs = frozenset(
-        (a, b)
-        for a, b in interned.edge_pairs
-        if keep_mask >> a & 1 and keep_mask >> b & 1
+    rows = tuple(
+        row & keep_mask if keep_mask >> index & 1 else 0
+        for index, row in enumerate(interned.adjacency)
     )
     node_configs = tuple(
         config
@@ -291,7 +252,7 @@ def _restrict_target(
         index if keep_mask >> index & 1 else -1
         for index in range(interned.alphabet.size)
     ]
-    return _MaskTarget(HARDEN, name, keep_mask, edge_pairs, node_configs, image)
+    return _MaskTarget(HARDEN, name, rows, node_configs, image)
 
 
 def _relaxation_candidates(
@@ -392,84 +353,112 @@ def _hardening_candidates(
             )
 
 
+def _passes_gate(interned: InternedProblem, target: _MaskTarget) -> bool:
+    """The mask-level soundness gate, the one certification a move gets.
+
+    A generator bug must surface as a skipped move at worst, never as an
+    invalid certificate in a chain.  The rows must stay inside the target's
+    alphabet (materialisation keeps only those bits), and the row-level
+    image check must pass: a relaxation maps the source into the target; a
+    hardening's rows and configurations lie inside the source's.
+    """
+    if any(row & ~target.label_mask for row in target.rows):
+        return False
+    rows, configs = interned.adjacency, interned.node_configs
+    if target.kind == HARDEN:
+        return check_row_image(
+            target.image, target.rows, target.node_configs, rows, interned.node_config_set
+        )
+    return check_row_image(
+        target.image, rows, configs, target.rows, frozenset(target.node_configs)
+    )
+
+
+def _compacted_rows(rows: tuple[int, ...], label_mask: int) -> tuple[int, ...]:
+    """The rows of the labels in ``label_mask``, re-indexed to those labels.
+
+    Each maximal run of kept bit positions moves down as one block, so the
+    rows of a merge or drop (one label cut) re-index in two shifts, not bit
+    by bit.
+    """
+    runs = []
+    offset, remaining = 0, label_mask
+    while remaining:
+        start = (remaining & -remaining).bit_length() - 1
+        length = ((remaining >> start) ^ ((remaining >> start) + 1)).bit_length() - 1
+        runs.append((start, (1 << length) - 1, offset))
+        offset += length
+        remaining &= ~(((1 << length) - 1) << start)
+    compacted = []
+    for index in iter_bits(label_mask):
+        packed = 0
+        for start, ones, shifted_to in runs:
+            packed |= (rows[index] >> start & ones) << shifted_to
+        compacted.append(packed)
+    return tuple(compacted)
+
+
 def _materialize(
     problem: Problem, interned: InternedProblem, target: _MaskTarget
 ) -> RelaxationMove:
-    """Build the string-surface problem and label map for a surviving candidate."""
+    """Build the string-surface problem and label map for a surviving candidate.
+
+    Bit positions follow sorted name order, so the kept names stay sorted
+    and the compacted rows become the target's
+    :class:`~repro.core.problem.EdgeRelation`: no string pair is built.
+    """
     alphabet = interned.alphabet
     names = alphabet.names
-    # Bit positions follow sorted name order, so index-sorted pairs and
-    # tuples convert directly to canonical name configurations; Problem.make
-    # re-canonicalises them (a no-op here) so materialisation cannot bypass
-    # the validated construction path.
-    built = Problem.make(
+    built = Problem.from_adjacency(
         name=target.name,
         delta=problem.delta,
-        edge_configs=((names[a], names[b]) for a, b in target.edge_pairs),
-        node_configs=(alphabet.config(config) for config in target.node_configs),
-        labels=(names[i] for i in iter_bits(target.label_mask)),
+        names=alphabet.members(LabelMask(target.label_mask)),
+        rows=_compacted_rows(target.rows, target.label_mask),
+        node_configs=[alphabet.config(config) for config in target.node_configs],
     )
-    if target.kind == HARDEN:
-        mapping = {names[i]: names[i] for i in iter_bits(target.label_mask)}
-    else:
-        mapping = {
-            names[i]: names[target.image[i]] for i in range(alphabet.size)
-        }
     return RelaxationMove(
         kind=target.kind,
         source=problem,
         target=built,
-        mapping=mapping,
+        mapping={names[i]: names[t] for i, t in enumerate(target.image) if t >= 0},
         detail=target.detail,
     )
 
 
-def generate_moves(problem: Problem, max_moves: int = 24) -> list[RelaxationMove]:
-    """Certified relaxation moves of ``problem``, deduplicated and capped.
+def _certified_moves(
+    problem: Problem,
+    candidates: Callable[[Problem, InternedProblem], Iterator[_MaskTarget]],
+    max_moves: int,
+    dedup_renamings: bool,
+) -> list[RelaxationMove]:
+    """The first ``max_moves`` candidates that survive the filters, materialised.
 
-    Candidates are generated and validated at the mask level; targets that
-    are degenerate (no allowed configuration left), identical to the source,
-    or duplicates of an earlier target (exactly, then up to label renaming
-    via canonical hashes) are filtered out before materialisation.  Every
-    returned move's label map has been validated twice: by
-    :func:`~repro.core.relaxation.check_index_image` on the interned view
-    and -- for the survivors only -- by the string-level
-    :func:`~repro.core.relaxation.certify_relaxation`.
+    With ``dedup_renamings``, a target that is a label renaming of the
+    source or of an earlier move (same canonical hash) is skipped too; the
+    hash is memoised on the target, so the search's own dedup of a target
+    that compresses to itself does not hash it again.
     """
     if max_moves < 1:
         return []
     interned = intern(problem)
-    expensive = problem.description_size > _EXPENSIVE_TARGET_SIZE
     moves: list[RelaxationMove] = []
-    seen_signatures = {_source_signature(interned)}
-    seen_hashes = set() if expensive else {canonical_hash(problem)}
-    source_edges = interned.edge_pairs
-    source_configs = interned.node_configs
-    for target in _relaxation_candidates(problem, interned):
+    seen_signatures = {
+        (interned.alphabet.full_mask, interned.adjacency, interned.node_configs)
+    }
+    seen_hashes = {canonical_hash(problem)} if dedup_renamings else set()
+    for target in candidates(problem, interned):
         if target.is_empty():
             continue
         signature = target.signature()
         if signature in seen_signatures:
             continue
         seen_signatures.add(signature)
-        # Mask-level soundness gate: a generator bug must surface as a
-        # skipped move at worst, never as an invalid certificate in a chain.
-        if not check_index_image(
-            target.image,
-            source_edges,
-            source_configs,
-            target.edge_pairs,
-            set(target.node_configs),
-        ):
+        if not _passes_gate(interned, target):
             continue
         move = _materialize(problem, interned, target)
-        if not expensive:
+        if dedup_renamings:
             key = canonical_hash(move.target)
             if key in seen_hashes:
-                continue
-            try:
-                certify_relaxation(move.source, move.target, move.mapping)
-            except ValueError:
                 continue
             seen_hashes.add(key)
         moves.append(move)
@@ -478,33 +467,31 @@ def generate_moves(problem: Problem, max_moves: int = 24) -> list[RelaxationMove
     return moves
 
 
+def generate_moves(problem: Problem, max_moves: int = 24) -> list[RelaxationMove]:
+    """Certified relaxation moves of ``problem``, deduplicated and capped.
+
+    Candidates are generated and validated at the mask level; targets that
+    are degenerate (no allowed configuration left), identical to the source,
+    or duplicates of an earlier target (exactly, then up to label renaming
+    via canonical hashes, at every problem size) are filtered out.  Every
+    returned move's label map has passed the row-level image check
+    :func:`~repro.core.relaxation.check_row_image` -- the same check
+    :func:`~repro.core.relaxation.is_relaxation_map` runs -- and its target
+    keeps its edge constraint as adjacency rows.
+    """
+    return _certified_moves(problem, _relaxation_candidates, max_moves, dedup_renamings=True)
+
+
 def generate_hardenings(problem: Problem, max_moves: int = 8) -> list[RelaxationMove]:
     """Certified Section 4.5 hardening moves of ``problem``.
 
     Each returned move's target is a constraint restriction of ``problem``
-    (at least as hard; its solutions solve ``problem`` verbatim), certified
-    by :func:`~repro.core.relaxation.certify_hardening`.  Degenerate targets
-    (nothing left to output) and duplicates are filtered.  These moves are
-    for upper-bound chasing and are never offered to the lower-bound search.
+    (at least as hard; its solutions solve ``problem`` verbatim): the row
+    gate has checked that its rows and configurations lie inside the
+    source's, which is what
+    :func:`~repro.core.relaxation.is_harder_restriction` states on the
+    string surface.  Degenerate targets (nothing left to output) and exact
+    duplicates are filtered.  These moves are for upper-bound chasing and
+    are never offered to the lower-bound search.
     """
-    if max_moves < 1:
-        return []
-    interned = intern(problem)
-    moves: list[RelaxationMove] = []
-    seen_signatures = {_source_signature(interned)}
-    for target in _hardening_candidates(problem, interned):
-        if target.is_empty():
-            continue
-        signature = target.signature()
-        if signature in seen_signatures:
-            continue
-        seen_signatures.add(signature)
-        move = _materialize(problem, interned, target)
-        try:
-            certify_hardening(move.source, move.target)
-        except ValueError:
-            continue
-        moves.append(move)
-        if len(moves) >= max_moves:
-            break
-    return moves
+    return _certified_moves(problem, _hardening_candidates, max_moves, dedup_renamings=False)

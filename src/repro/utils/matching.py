@@ -1,9 +1,8 @@
-"""Bipartite matching: maximum matching, Hall violators, realizability.
+"""Bipartite matching: maximum matching and Hall violators.
 
-Three places in the reproduction need matchings:
+Two places in the reproduction need matchings (the speedup engine runs its
+own bitmask matching, :func:`repro.core.alphabet.mask_matching_exists`):
 
-* the speedup engine checks whether a multiset of label *sets* can realise a
-  concrete configuration (a system of distinct-representatives question);
 * Lemma 2's proof is driven by Hall's marriage theorem -- the algorithmic
   version finds either a matching saturating the index set ``I`` or a *Hall
   violator* ``J`` with ``|J| > |N(J)|``, which is exactly the set the lemma's
@@ -19,7 +18,7 @@ extraction by alternating reachability straightforward.
 
 from __future__ import annotations
 
-from collections.abc import Hashable, Iterable, Mapping, Sequence
+from collections.abc import Hashable, Iterable, Mapping
 from typing import TypeVar
 
 L = TypeVar("L", bound=Hashable)
@@ -91,28 +90,3 @@ def hall_violator(adjacency: Adjacency) -> frozenset[L] | None:
     # N(reachable_left) == reachable_right and
     # |reachable_right| == |reachable_left| - len(unmatched) < |reachable_left|.
     return frozenset(reachable_left)
-
-
-def can_realize(slots: Sequence[Iterable[L]], target: Sequence[L]) -> bool:
-    """Return True iff each slot can pick a distinct position of ``target``.
-
-    ``slots`` is a sequence of label sets; ``target`` a multiset (sequence) of
-    labels of the same length.  The question is whether there is a bijection
-    between slots and positions of ``target`` such that every slot contains
-    the label at its assigned position -- a perfect-matching instance.  The
-    engine uses this to test whether a node configuration of *sets* can
-    produce a given configuration of the underlying problem.
-    """
-    if len(slots) != len(target):
-        return False
-    adjacency = {
-        index: [
-            position
-            for position, label in enumerate(target)
-            if label in slot_labels
-        ]
-        for index, slot_labels in enumerate(
-            frozenset(slot) for slot in slots
-        )
-    }
-    return perfect_matching_exists(adjacency)

@@ -71,14 +71,6 @@ def submultisets_of_size(items: Sequence[T], size: int) -> Iterator[tuple[T, ...
             yield combo
 
 
-def multiset_union(*parts: Sequence[T]) -> tuple[T, ...]:
-    """Return the canonical multiset union (sum) of the given multisets."""
-    merged: list[T] = []
-    for part in parts:
-        merged.extend(part)
-    return tuple(sorted(merged))
-
-
 def multiset_difference(big: Sequence[T], small: Sequence[T]) -> tuple[T, ...]:
     """Return ``big`` minus ``small`` as a canonical multiset.
 

@@ -45,7 +45,7 @@ from repro.core.certificate import (
     UpperBoundCertificate,
 )
 from repro.core.problem import Problem
-from repro.core.relaxation import certify_hardening
+from repro.core.relaxation import HARDENS, RelaxationCertificate, is_harder_restriction
 from repro.core.zero_round import zero_round_with_orientations
 from repro.analysis.certificates import sinkless_certificate
 from repro.engine import Engine, EngineConfig
@@ -543,6 +543,7 @@ def upper_payload():
         node_configs=problem.node_constraint,
         labels=sorted(problem.labels),
     )
+    assert is_harder_restriction(problem, restricted)
     engine = Engine(
         EngineConfig(max_derived_labels=5_000, max_candidate_configs=100_000)
     )
@@ -556,7 +557,12 @@ def upper_payload():
             CertificateStep(
                 kind=HARDENING,
                 problem=restricted,
-                relaxation=certify_hardening(problem, restricted),
+                relaxation=RelaxationCertificate(
+                    source_name=problem.name,
+                    target_name=restricted.name,
+                    mapping={label: label for label in restricted.labels},
+                    direction=HARDENS,
+                ),
             ),
             CertificateStep(kind=SPEEDUP, problem=result.full, speedup=result),
         ),

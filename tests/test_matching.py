@@ -1,10 +1,9 @@
-"""Tests for bipartite matching, Hall violators and realizability."""
+"""Tests for bipartite matching and Hall violators."""
 
 from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.utils.matching import (
-    can_realize,
     hall_violator,
     maximum_bipartite_matching,
     perfect_matching_exists,
@@ -47,17 +46,6 @@ def test_hall_violator_deficiency_two():
     adjacency = {"a": [1], "b": [1], "c": [1]}
     violator = hall_violator(adjacency)
     assert violator == frozenset({"a", "b", "c"})
-
-
-def test_can_realize_basic():
-    assert can_realize([{"x", "y"}, {"y"}], ("x", "y"))
-    assert can_realize([{"x"}, {"y"}], ("y", "x"))
-    assert not can_realize([{"x"}, {"x"}], ("x", "y"))
-
-
-def test_can_realize_multiplicities():
-    assert can_realize([{"x"}, {"x"}], ("x", "x"))
-    assert not can_realize([{"x"}], ("x", "x"))
 
 
 @st.composite

@@ -74,7 +74,7 @@ def test_interned_problem_roundtrip() -> None:
     clone = _roundtrip(interned)
     assert isinstance(clone, InternedProblem)
     assert clone.alphabet.names == interned.alphabet.names
-    assert clone.edge_pairs == interned.edge_pairs
+    assert clone.adjacency == interned.adjacency
     assert clone.node_configs == interned.node_configs
 
 

@@ -1,18 +1,21 @@
 """Tests for relaxation certificates and map search."""
 
+import random
+
 import pytest
+from test_differential_kernel import SEED_COUNT, random_problem
 
 from repro.core.relaxation import (
     HARDENS,
     RELAXES,
     RelaxationCertificate,
-    certify_hardening,
     certify_relaxation,
     find_relaxation_map,
     is_harder_restriction,
     is_relaxation_map,
 )
 from repro.problems.coloring import coloring
+from repro.search.moves import generate_hardenings, generate_moves
 from repro.problems.superweak import superweak, weak2_to_superweak2_map
 from repro.problems.weak_coloring import weak_coloring_pointer
 
@@ -116,15 +119,64 @@ def test_certificate_rejects_unknown_direction(sc3):
         )
 
 
-def test_certify_hardening(col4_ring):
+def test_hardening_certificate(col4_ring):
     restricted = col4_ring.restricted({"c1", "c2", "c3"}, name="col3")
-    certificate = certify_hardening(col4_ring, restricted)
-    assert certificate.direction == HARDENS
-    assert certificate.source_name == col4_ring.name
-    assert certificate.target_name == "col3"
-    assert certificate.mapping == {label: label for label in restricted.labels}
+    assert is_harder_restriction(col4_ring, restricted)
+    assert not is_harder_restriction(restricted, col4_ring)  # wrong way around
+    certificate = RelaxationCertificate(
+        source_name=col4_ring.name,
+        target_name=restricted.name,
+        mapping={label: label for label in restricted.labels},
+        direction=HARDENS,
+    )
     assert "hardens" in certificate.describe()
     payload = certificate.to_dict()
     assert RelaxationCertificate.from_dict(payload) == certificate
-    with pytest.raises(ValueError):
-        certify_hardening(restricted, col4_ring)  # wrong way around
+
+
+# -- the row-level image check against a string-level oracle --------------------
+
+
+def string_relaxation_oracle(source, target, mapping):
+    """``is_relaxation_map``'s definition, on string pairs and tuples only."""
+    edges = frozenset(target.edge_constraint)
+    usable = {label for pair in source.edge_constraint for label in pair} & {
+        label for config in source.node_constraint for label in config
+    }
+    if source.delta != target.delta or not usable <= set(mapping) <= source.labels:
+        return False
+    if not set(mapping.values()) <= target.labels:
+        return False
+    for a, b in source.edge_constraint:
+        if a in mapping and b in mapping:
+            if tuple(sorted((mapping[a], mapping[b]))) not in edges:
+                return False
+    for config in source.node_constraint:
+        if all(label in mapping for label in config):
+            if tuple(sorted(mapping[label] for label in config)) not in target.node_constraint:
+                return False
+    return True
+
+
+def test_row_check_agrees_with_a_string_oracle():
+    """Every generated map (relaxations source -> target, hardening inclusions
+    target -> source) and a copy with one image entry corrupted get the same
+    verdict from the row check as from the string oracle."""
+    rng = random.Random(0)
+    verdicts = []
+    for seed in range(SEED_COUNT):
+        problem = random_problem(seed)
+        cases = [(problem, move.target, move.mapping) for move in generate_moves(problem, 256)]
+        cases += [
+            (move.target, problem, move.mapping) for move in generate_hardenings(problem, 64)
+        ]
+        for source, target, mapping in cases:
+            assert string_relaxation_oracle(source, target, mapping), (seed, mapping)
+            label = rng.choice(sorted(mapping))
+            others = sorted(target.labels - {mapping[label]})
+            candidates = [mapping, {**mapping, label: rng.choice(others)}] if others else [mapping]
+            for candidate in candidates:
+                expected = string_relaxation_oracle(source, target, candidate)
+                assert is_relaxation_map(source, target, candidate) == expected, (seed, candidate)
+                verdicts.append(expected)
+    assert verdicts.count(True) > 1000 and verdicts.count(False) > 100

@@ -201,8 +201,6 @@ _DEADCODE_PIN = {
     ("src/repro/sim/speedup_exec.py", "all_ok"),
     ("src/repro/superweak/lemma1.py", "lemma_conclusion_holds"),
     ("src/repro/superweak/weak9.py", "matches_paper"),
-    ("src/repro/utils/matching.py", "can_realize"),
-    ("src/repro/utils/multiset.py", "multiset_union"),
     ("src/repro/utils/orders.py", "maximal_elements"),
     ("src/repro/utils/orders.py", "filters"),
     ("src/repro/utils/tower.py", "materialize"),

@@ -147,6 +147,24 @@ def test_move_generation_builds_one_diagram():
     assert diagram_build_count() - before == 1
 
 
+@pytest.mark.slow
+def test_weak3_pi1_moves_stay_condensed():
+    """On the 976-label weak-3-coloring[2] Pi_1 (~373k edge pairs), the 24
+    relaxation moves keep every edge constraint as adjacency rows: neither
+    the source nor any target ever builds its string pairs."""
+    from repro.core.problem import EdgeRelation
+    from repro.core.speedup import compute_speedup
+
+    full = compute_speedup(get_problem("weak-3-coloring", 2)).full
+    assert len(full.labels) == 976
+    moves = generate_moves(full, max_moves=24)
+    assert len(moves) == 24
+    for move in moves:
+        assert isinstance(move.target.edge_constraint, EdgeRelation), move.describe()
+    assert full.edge_constraint._pairs is None
+    assert all(move.target.edge_constraint._pairs is None for move in moves)
+
+
 def test_search_builds_at_most_one_diagram_per_expansion(mis_d3):
     from repro.core.diagram import diagram_build_count
 
