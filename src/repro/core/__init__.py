@@ -37,7 +37,7 @@ from repro.core.certificate import (
     LowerBoundCertificate,
     UpperBoundCertificate,
 )
-from repro.core.diagram import Diagram, compute_diagram, merge_equivalent_labels, replaceable
+from repro.core.diagram import Diagram, compute_diagram, replaceable
 from repro.core.family import ProblemFamily
 from repro.core.format import format_problem, parse_problem
 from repro.core.galois import Compatibility
@@ -123,7 +123,6 @@ __all__ = [
     "is_harder_restriction",
     "is_relaxation_map",
     "is_zero_round_solvable",
-    "merge_equivalent_labels",
     "iterate_speedup",
     "node_config",
     "parse_problem",

@@ -45,7 +45,7 @@ from collections.abc import Collection, Iterable, Iterator, Sequence
 from itertools import compress, count
 from typing import TYPE_CHECKING, Literal, cast
 
-from repro.core.problem import EdgeRelation, Label, Problem
+from repro.core.problem import Label, Problem
 
 if TYPE_CHECKING:
     from typing import NewType
@@ -231,20 +231,10 @@ class InternedProblem:
         self.alphabet = alphabet
         index = alphabet.index
 
-        edges = problem.edge_constraint
-        if isinstance(edges, EdgeRelation) and edges.names == alphabet.names:
-            # Derived problems and move targets carry their masks over this
-            # alphabet's order already.
-            self.adjacency: tuple[LabelMask, ...] = cast(
-                "tuple[LabelMask, ...]", edges.masks
-            )
-        else:
-            adjacency = [0] * alphabet.size
-            for a, b in edges:
-                ia, ib = index[a], index[b]
-                adjacency[ia] |= 1 << ib
-                adjacency[ib] |= 1 << ia
-            self.adjacency = tuple(LabelMask(mask) for mask in adjacency)
+        # The edge constraint is already adjacency rows over this order.
+        self.adjacency: tuple[LabelMask, ...] = cast(
+            "tuple[LabelMask, ...]", problem.edge_constraint.masks
+        )
 
         configs = sorted(
             tuple(index[label] for label in config)

@@ -13,8 +13,8 @@ labels are always safe substitutes, so:
 The diagram of a *derived* problem is particularly structured: after a half
 step, set-labels compare by inclusion of their meanings, which is exactly
 the order :mod:`repro.core.speedup` exploits.  This module computes the
-diagram of an arbitrary problem directly from its constraints and offers the
-resulting normalisations.
+diagram of an arbitrary problem directly from its constraints; the move
+generator (:mod:`repro.search.moves`) applies the resulting normalisations.
 
 The computation runs on the bitmask kernel (:mod:`repro.core.alphabet`): the
 edge-side replaceability condition is one adjacency-mask subset test
@@ -118,19 +118,6 @@ class Diagram:
     def equivalent(self, a: Label, b: Label) -> bool:
         return self.leq(a, b) and self.leq(b, a)
 
-    def equivalence_classes(self) -> list[frozenset[Label]]:
-        """Partition the labels into strength-equivalence classes."""
-        remaining = set(self.problem.labels)
-        classes = []
-        while remaining:
-            pivot = min(remaining)
-            cls = frozenset(
-                label for label in remaining if self.equivalent(pivot, label)
-            )
-            classes.append(cls)
-            remaining -= cls
-        return sorted(classes, key=sorted)
-
     def maximal_labels(self) -> frozenset[Label]:
         """Labels not strictly dominated by any other label."""
         return frozenset(
@@ -200,36 +187,3 @@ def compute_diagram(problem: Problem) -> Diagram:
         for weak, mask in enumerate(masks)
     }
     return Diagram(problem=problem, stronger=stronger)
-
-
-def merge_equivalent_labels(
-    problem: Problem, diagram: Diagram | None = None
-) -> tuple[Problem, dict[Label, Label]]:
-    """Collapse strength-equivalent labels to one representative each.
-
-    Returns the merged problem and the label map applied.  The map is a
-    relaxation certificate in both directions, so the merged problem has
-    exactly the same round complexity.  Pass an already-computed ``diagram``
-    of ``problem`` to avoid recomputing it (the move generator shares one
-    diagram across all move families).
-    """
-    if diagram is None:
-        diagram = compute_diagram(problem)
-    mapping: dict[Label, Label] = {}
-    for cls in diagram.equivalence_classes():
-        representative = min(cls)
-        for label in cls:
-            mapping[label] = representative
-    merged = Problem.make(
-        name=f"{problem.name}|merged",
-        delta=problem.delta,
-        edge_configs=[
-            (mapping[a], mapping[b]) for a, b in problem.edge_constraint
-        ],
-        node_configs=[
-            tuple(mapping[label] for label in config)
-            for config in problem.node_constraint
-        ],
-        labels={mapping[label] for label in problem.labels},
-    )
-    return merged, mapping

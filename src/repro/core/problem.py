@@ -22,7 +22,7 @@ fixed delta, exactly as in Theorem 1, which speaks about graph classes
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable, Iterator, Mapping
+from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from collections.abc import Set as AbstractSet
 from dataclasses import dataclass
 from functools import cached_property
@@ -59,16 +59,64 @@ def _mentioned(configs: Iterable[tuple[Label, ...]]) -> frozenset[Label]:
 #: the selector stream ``itertools.compress`` reads when a row is expanded.
 _BIT_DIGITS = bytes.maketrans(b"01", b"\x00\x01")
 
+#: The image of a label an index map drops (see :func:`row_images`).
+UNMAPPED = -1
+
+
+def row_images(image: Sequence[int], rows: Iterable[int]) -> Iterator[int]:
+    """The image of each adjacency row under the index map ``image``.
+
+    Bit ``image[j]`` is set for every neighbour ``j`` with ``image[j] !=
+    UNMAPPED``.  Labels are grouped by their index shift ``image[j] - j``,
+    and each group moves as one masked shift: the runs of a compaction, a
+    merge or a rename cost one shift per row each, not one step per
+    neighbour.  This is the one row translation every label transform
+    (compaction, renaming, relaxation checks) runs on.
+    """
+    by_shift: dict[int, int] = {}
+    for index, target in enumerate(image):
+        if target != UNMAPPED:
+            shift = target - index
+            by_shift[shift] = by_shift.get(shift, 0) | 1 << index
+    groups = list(by_shift.items())
+    for row in rows:
+        mapped = 0
+        for shift, mask in groups:
+            part = row & mask
+            if part:
+                mapped |= part << shift if shift >= 0 else part >> -shift
+        yield mapped
+
+
+def image_rows(image: Sequence[int], rows: Iterable[int], size: int) -> tuple[int, ...]:
+    """The ``size`` rows of the image relation under the total index map
+    ``image``: row ``i``, translated, is merged into row ``image[i]``."""
+    merged = [0] * size
+    for target, row in zip(image, row_images(image, rows)):
+        merged[target] |= row
+    return tuple(merged)
+
+
+def compacted_rows(rows: Sequence[int], kept: Sequence[bool]) -> tuple[int, ...]:
+    """The rows of the kept labels, re-indexed to the kept labels in order."""
+    image: list[int] = []
+    position = 0
+    for keep in kept:
+        image.append(position if keep else UNMAPPED)
+        position += keep
+    return tuple(row_images(image, compress(rows, kept)))
+
 
 class EdgeRelation(AbstractSet[EdgeConfig]):
     """An edge constraint held as one symmetric adjacency mask per label.
 
     ``names`` lists the labels in sorted raw-name order (the order of
     :class:`repro.core.alphabet.Alphabet`); bit ``j`` of ``masks[i]`` is set
-    iff ``{names[i], names[j]}`` is allowed.  The full step emits derived
-    edge relations in this form: the paper's existential edge constraint is
-    fully described by one adjacency mask per derived label, while the
-    canonical ``(low, high)`` string pairs can run to tens of millions.
+    iff ``{names[i], names[j]}`` is allowed.  Every :class:`Problem` holds
+    its edge constraint in this form, over its own sorted labels: the
+    paper's existential edge constraint of a derived problem is fully
+    described by one adjacency mask per derived label, while the canonical
+    ``(low, high)`` string pairs can run to tens of millions.
 
     The relation is an immutable set of canonical pairs, equal to (and
     hash-compatible with) the ``frozenset`` of those pairs.  ``len`` is
@@ -191,17 +239,10 @@ for _name in (
     setattr(EdgeRelation, _name, _delegate_to_view(_name))
 
 
-def _edge_labels(edges: AbstractSet[EdgeConfig]) -> frozenset[Label]:
-    """Every label occurring in some edge configuration."""
-    if isinstance(edges, EdgeRelation):
-        return edges.mentioned()
-    return _mentioned(edges)
-
-
-def _pairs_within(
-    edges: AbstractSet[EdgeConfig], labels: frozenset[Label]
-) -> frozenset[EdgeConfig]:
-    return frozenset(pair for pair in edges if pair[0] in labels and pair[1] in labels)
+def _rows_within(edges: EdgeRelation, labels: AbstractSet[Label]) -> EdgeRelation:
+    """The pairs of ``edges`` within ``labels``, as rows over those labels."""
+    kept = [name in labels for name in edges.names]
+    return EdgeRelation(tuple(compress(edges.names, kept)), compacted_rows(edges.masks, kept))
 
 
 def _configs_within(
@@ -210,7 +251,7 @@ def _configs_within(
     return frozenset(config for config in nodes if labels.issuperset(config))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Problem:
     """A locally checkable problem at a fixed maximum degree.
 
@@ -227,9 +268,10 @@ class Problem:
     labels:
         The finite output alphabet ``f(delta)``.
     edge_constraint:
-        The allowed 2-multisets ``g(delta)``, canonical sorted pairs: a
-        ``frozenset``, or for problems the full step derives an
-        :class:`EdgeRelation` (equal to the ``frozenset`` of its pairs).
+        The allowed 2-multisets ``g(delta)``: an :class:`EdgeRelation`, one
+        adjacency row per label over ``tuple(sorted(labels))``, equal to the
+        ``frozenset`` of its canonical sorted pairs.  The constructor also
+        takes any set of canonical pairs and stores it as those rows.
     node_constraint:
         The allowed ``delta``-multisets ``h(delta)``, canonical sorted tuples.
     """
@@ -237,44 +279,52 @@ class Problem:
     name: str
     delta: int
     labels: frozenset[Label]
-    edge_constraint: AbstractSet[EdgeConfig]
+    edge_constraint: EdgeRelation
     node_constraint: frozenset[NodeConfig]
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self,
+        name: str,
+        delta: int,
+        labels: frozenset[Label],
+        edge_constraint: AbstractSet[EdgeConfig],
+        node_constraint: frozenset[NodeConfig],
+    ) -> None:
         # Validation runs once, where a problem enters the system (internal
         # transforms use ``_from_canonical``).  Entering problems -- disk
         # cache loads of derived problems included -- can carry hundreds of
-        # thousands of pairs, so the checks below are written allocation-free
-        # (direct comparisons instead of ``tuple(sorted(...))`` / ``set(...)``
-        # round-trips) while raising the exact same errors.
-        if self.delta < 1:
+        # thousands of pairs, so each pair and configuration is checked with
+        # direct comparisons, no per-item ``sorted(...)`` / ``set(...)``
+        # round-trips, while raising the exact same errors.  Pairs become
+        # adjacency rows over the sorted labels as they are checked.
+        if delta < 1:
             raise ProblemError("delta must be at least 1")
-        labels = self.labels
-        edges: Iterable[EdgeConfig] = self.edge_constraint
-        if isinstance(edges, EdgeRelation):
-            # Adjacency rows are checked in O(labels), never as string pairs.
-            names, size = edges.names, len(edges.names)
-            if (
-                list(names) != sorted(set(names))
-                or len(edges.masks) != size
-                or not labels.issuperset(names)
-                or any(mask >> size for mask in edges.masks)
-            ):
-                raise ProblemError(f"malformed adjacency rows over {size} labels")
-            edges = ()
-        for pair in edges:
-            if len(pair) != 2:
-                raise ProblemError(f"edge configuration {pair!r} is not a pair")
-            first, second = pair
-            if second < first:
-                raise ProblemError(f"edge configuration {pair!r} is not canonical")
-            if first not in labels or second not in labels:
-                raise ProblemError(f"edge configuration {pair!r} uses unknown labels")
-        delta = self.delta
-        for config in self.node_constraint:
+        names = tuple(sorted(labels))
+        edges = edge_constraint
+        if isinstance(edges, EdgeRelation) and edges.names == names:
+            # Rows over this alphabet are checked in O(labels), never as
+            # string pairs; any other set is read pair by pair.
+            if len(edges.masks) != len(names) or any(mask >> len(names) for mask in edges.masks):
+                raise ProblemError(f"malformed adjacency rows over {len(names)} labels")
+        else:
+            position = {label: index for index, label in enumerate(names)}
+            rows = [0] * len(names)
+            for pair in edges:
+                if len(pair) != 2:
+                    raise ProblemError(f"edge configuration {pair!r} is not a pair")
+                first, second = pair
+                if second < first:
+                    raise ProblemError(f"edge configuration {pair!r} is not canonical")
+                low, high = position.get(first), position.get(second)
+                if low is None or high is None:
+                    raise ProblemError(f"edge configuration {pair!r} uses unknown labels")
+                rows[low] |= 1 << high
+                rows[high] |= 1 << low
+            edges = EdgeRelation(names, tuple(rows))
+        for config in node_constraint:
             if len(config) != delta:
                 raise ProblemError(
-                    f"node configuration {config!r} does not have {self.delta} entries"
+                    f"node configuration {config!r} does not have {delta} entries"
                 )
             for index in range(len(config) - 1):
                 if config[index + 1] < config[index]:
@@ -284,6 +334,11 @@ class Problem:
                     raise ProblemError(
                         f"node configuration {config!r} uses unknown labels"
                     )
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "delta", delta)
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "edge_constraint", edges)
+        object.__setattr__(self, "node_constraint", node_constraint)
 
     # -- construction helpers ---------------------------------------------
 
@@ -293,25 +348,26 @@ class Problem:
         name: str,
         delta: int,
         labels: frozenset[Label],
-        edge_constraint: AbstractSet[EdgeConfig],
+        edge_constraint: EdgeRelation,
         node_constraint: frozenset[NodeConfig],
     ) -> "Problem":
-        """Trusted constructor that skips ``__post_init__`` validation.
+        """Trusted constructor that skips the constructor's validation.
 
         Invariants are checked once, where a problem enters the system:
         ``Problem(...)``, :meth:`make`, :meth:`from_adjacency` and
         :meth:`from_dict`.  This
         constructor is for transforms whose input was already validated and
-        which preserve the invariants by construction (canonical sorted
-        pairs and tuples, ``delta``-length node configurations, every
-        configuration label in ``labels``), so re-checking what can be
-        hundreds of thousands of pairs would only repeat work.  The pickle
-        path (:meth:`__setstate__`) likewise restores fields unchecked.
+        which preserve the invariants by construction (an
+        :class:`EdgeRelation` whose names are ``tuple(sorted(labels))``,
+        canonical sorted node tuples of ``delta`` labels each, every label
+        in ``labels``), so re-checking what can be hundreds of thousands of
+        pairs would only repeat work.  The pickle path
+        (:meth:`__setstate__`) likewise restores fields unchecked.
 
         Sanctioned callers: this module's transforms (:meth:`with_name`,
         :meth:`compressed`, :meth:`restricted`, :meth:`renamed`) and the half
-        and full steps in :mod:`repro.core.speedup`, which emit sorted pairs
-        and tuples over their own freshly minted alphabets.
+        and full steps in :mod:`repro.core.speedup`, which emit adjacency
+        rows and sorted tuples over their own freshly minted alphabets.
         Everything else goes through ``Problem(...)`` or :meth:`make`; the
         ``trusted-constructor`` lint rule enforces this.
         """
@@ -389,7 +445,7 @@ class Problem:
         Only these can appear in a correct solution (the paper's compression
         remark in Section 4.2).
         """
-        return _edge_labels(self.edge_constraint) & _mentioned(self.node_constraint)
+        return self.edge_constraint.mentioned() & _mentioned(self.node_constraint)
 
     @cached_property
     def is_empty(self) -> bool:
@@ -425,9 +481,9 @@ class Problem:
         edges = self.edge_constraint
         nodes = self.node_constraint
         while True:
-            edges = _pairs_within(edges, labels)
+            edges = _rows_within(edges, labels)
             nodes = _configs_within(nodes, labels)
-            usable = _mentioned(edges) & _mentioned(nodes)
+            usable = edges.mentioned() & _mentioned(nodes)
             if usable == labels:
                 break
             labels = usable
@@ -448,14 +504,17 @@ class Problem:
         if len(set(images)) != len(images):
             raise ProblemError("renaming is not injective")
         # A bijection of a valid problem's labels, re-sorted per configuration,
-        # yields a valid problem: no re-validation needed.
+        # yields a valid problem: no re-validation needed.  The rows follow
+        # their labels to the renamed alphabet's sorted order.
+        names = tuple(sorted(images))
+        position = {label: index for index, label in enumerate(names)}
+        edges = self.edge_constraint
+        image = [position[mapping[label]] for label in edges.names]
         return Problem._from_canonical(
             name if name is not None else self.name,
             self.delta,
             frozenset(images),
-            frozenset(
-                edge_config(mapping[a], mapping[b]) for a, b in self.edge_constraint
-            ),
+            EdgeRelation(names, image_rows(image, edges.masks, len(names))),
             frozenset(
                 node_config(mapping[label] for label in config)
                 for config in self.node_constraint
@@ -480,7 +539,7 @@ class Problem:
             name,
             self.delta,
             keep_set,
-            _pairs_within(self.edge_constraint, keep_set),
+            _rows_within(self.edge_constraint, keep_set),
             _configs_within(self.node_constraint, keep_set),
         )
 

@@ -26,12 +26,12 @@ verification and the move generator's soundness gate.
 
 from __future__ import annotations
 
-from collections.abc import Collection, Iterable, Iterator, Mapping, Sequence
+from collections.abc import Collection, Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from typing import Any
 
 from repro.core.alphabet import Direction, intern, iter_bits
-from repro.core.problem import Label, Problem
+from repro.core.problem import UNMAPPED, Label, Problem, row_images
 
 # The two certified directions: a *relaxation* target is provably no harder
 # than its source (the lower-bound chain step); a *hardening* target is
@@ -90,30 +90,6 @@ class RelaxationCertificate:
         )
 
 
-_UNMAPPED = -1
-
-
-def row_images(image: Sequence[int], rows: Iterable[int]) -> Iterator[int]:
-    """The image of each adjacency row under the index map ``image``.
-
-    Bit ``image[j]`` is set for every mapped neighbour ``j``; labels with
-    ``image[j] == j`` keep their bits in one mask operation, so a row costs
-    O(moved labels), not O(neighbours).
-    """
-    moved = 0
-    for index, target_label in enumerate(image):
-        if target_label != index:
-            moved |= 1 << index
-    fixed = ~moved
-    for row in rows:
-        mapped = row & fixed
-        for neighbour in iter_bits(row & moved):
-            neighbour_image = image[neighbour]
-            if neighbour_image != _UNMAPPED:
-                mapped |= 1 << neighbour_image
-        yield mapped
-
-
 def check_row_image(
     image: Sequence[int],
     source_rows: Sequence[int],
@@ -125,7 +101,7 @@ def check_row_image(
     generator's soundness gate: does ``image`` map the source constraints
     into the target's?
 
-    ``image[i]`` is the target index of source label ``i`` (``_UNMAPPED``
+    ``image[i]`` is the target index of source label ``i`` (``UNMAPPED``
     for unmapped labels).  For each mapped source label ``i``, the image of
     its adjacency row must lie inside ``target_rows[image[i]]``, and every
     node configuration's image must be in ``target_node_configs``.  Pairs
@@ -134,12 +110,12 @@ def check_row_image(
     """
     for index, mapped in enumerate(row_images(image, source_rows)):
         target_label = image[index]
-        if target_label != _UNMAPPED and mapped & ~target_rows[target_label]:
+        if target_label != UNMAPPED and mapped & ~target_rows[target_label]:
             return False
     for config in source_node_configs:
-        # _UNMAPPED sorts first, so one test finds a skipped configuration.
+        # UNMAPPED sorts first, so one test finds a skipped configuration.
         mapped_config = tuple(sorted([image[label_index] for label_index in config]))
-        if mapped_config[0] != _UNMAPPED and mapped_config not in target_node_configs:
+        if mapped_config[0] != UNMAPPED and mapped_config not in target_node_configs:
             return False
     return True
 
@@ -168,7 +144,7 @@ def is_relaxation_map(
     right = intern(target)
     target_index = right.alphabet.index
     image = [
-        target_index[mapping[name]] if name in mapping else _UNMAPPED
+        target_index[mapping[name]] if name in mapping else UNMAPPED
         for name in left.alphabet.names
     ]
     return check_row_image(
@@ -258,7 +234,7 @@ def find_relaxation_map(
     right_rows = right.adjacency
     right_configs = right.node_config_set
     target_count = right.alphabet.size
-    image = [_UNMAPPED] * left.alphabet.size
+    image = [UNMAPPED] * left.alphabet.size
 
     def consistent(position: int) -> bool:
         for a, b in edge_checks[position]:
@@ -278,7 +254,7 @@ def find_relaxation_map(
             image[label_index] = candidate
             if consistent(position) and backtrack(position + 1):
                 return True
-        image[label_index] = _UNMAPPED
+        image[label_index] = UNMAPPED
         return False
 
     if backtrack(0):
@@ -297,11 +273,18 @@ def is_harder_restriction(source: Problem, restricted: Problem) -> bool:
     constraints are subsets of the corresponding ``source`` constraints; then
     every solution of ``restricted`` is verbatim a solution of ``source``.
     This certifies the Section 4.5 maneuver of making a derived problem
-    harder to obtain a clean upper-bound problem.
+    harder to obtain a clean upper-bound problem.  The constraint inclusion
+    is the row image check under the identity-by-name map.
     """
-    return (
-        restricted.delta == source.delta
-        and restricted.labels <= source.labels
-        and restricted.edge_constraint <= source.edge_constraint
-        and restricted.node_constraint <= source.node_constraint
+    if restricted.delta != source.delta or not restricted.labels <= source.labels:
+        return False
+    inner = intern(restricted)
+    outer = intern(source)
+    source_index = outer.alphabet.index
+    return check_row_image(
+        [source_index[name] for name in inner.alphabet.names],
+        inner.adjacency,
+        inner.node_configs,
+        outer.adjacency,
+        outer.node_config_set,
     )

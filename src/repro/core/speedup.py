@@ -67,7 +67,7 @@ from repro.core.galois import Compatibility
 # Re-exported from its dependency-free home (repro.core.limits) so the
 # Galois layer can raise it too; this module remains the public import site.
 from repro.core.limits import EngineLimitError
-from repro.core.problem import EdgeRelation, Label, Problem, edge_config, node_config
+from repro.core.problem import EdgeRelation, Label, Problem, node_config
 from repro.core.vectorkernel import AllowsTable, KernelStats
 
 __all__ = [
@@ -390,25 +390,19 @@ def half_step(
     meaning = {name: alphabet.label_set(mask) for mask, name in name_of_mask.items()}
     meaning_mask = {name: mask for mask, name in name_of_mask.items()}
 
-    if simplify:
-        edge_configs = {
-            edge_config(
-                name_of_mask[mask],
-                alphabet.mask_name(comp.polar_mask(mask)),
-            )
-            for mask in half_masks
-        }
-    else:
-        edge_configs = set()
-        for first in half_masks:
-            polar_of_first = comp.polar_mask(first)
-            for second in half_masks:
-                if second & ~polar_of_first == 0:
-                    edge_configs.add(
-                        edge_config(name_of_mask[first], name_of_mask[second])
-                    )
-
+    # The edge constraint as adjacency rows over the sorted half names.
     ordered_names = sorted(meaning)
+    position = {meaning_mask[name]: index for index, name in enumerate(ordered_names)}
+    rows = [0] * len(ordered_names)
+    for mask in half_masks:
+        polar = comp.polar_mask(mask)
+        # Simplified, a closed set pairs with its polar (itself a usable
+        # closed set); raw, with every subset of its polar.
+        partners = [polar] if simplify else [m for m in half_masks if m & ~polar == 0]
+        for partner in partners:
+            rows[position[mask]] |= 1 << position[partner]
+            rows[position[partner]] |= 1 << position[mask]
+
     candidate_count = _multiset_count(len(ordered_names), problem.delta)
     if candidate_count > max_candidate_configs:
         raise EngineLimitError(
@@ -423,13 +417,13 @@ def half_step(
     if stats is not None:
         stats.existential_s += perf_counter() - started
 
-    # Canonical by construction (edge_config pairs over the derived names,
-    # node tuples emitted in non-decreasing name order), so skip validation.
+    # Canonical by construction (rows over the sorted derived names, node
+    # tuples emitted in non-decreasing name order), so skip validation.
     derived = Problem._from_canonical(
         name=f"{problem.name}|half" + ("" if simplify else "|raw"),
         delta=problem.delta,
         labels=frozenset(meaning),
-        edge_constraint=frozenset(edge_configs),
+        edge_constraint=EdgeRelation(tuple(ordered_names), tuple(rows)),
         node_constraint=frozenset(node_configs),
     ).compressed()
     kept_meaning = {name: meaning[name] for name in derived.labels}

@@ -57,13 +57,12 @@ from dataclasses import dataclass
 from repro.core.alphabet import InternedProblem, LabelMask, intern, iter_bits
 from repro.core.canonical import canonical_hash
 from repro.core.diagram import compute_stronger_masks
-from repro.core.problem import Label, Problem
+from repro.core.problem import Label, Problem, compacted_rows, image_rows
 from repro.core.relaxation import (
     HARDENS,
     RELAXES,
     RelaxationCertificate,
     check_row_image,
-    row_images,
 )
 
 MERGE_EQUIVALENTS = "merge-equivalents"
@@ -163,11 +162,9 @@ def _image_target(
     interned: InternedProblem, kind: str, name: str, image: list[int]
 ) -> _MaskTarget:
     """Apply a total index map: the image problem under the collapse."""
-    rows = [0] * interned.alphabet.size
-    for index, mapped in enumerate(row_images(image, interned.adjacency)):
-        rows[image[index]] |= mapped
+    rows = image_rows(image, interned.adjacency, interned.alphabet.size)
     node_configs = {tuple(sorted(image[i] for i in config)) for config in interned.node_configs}
-    return _MaskTarget(kind, name, tuple(rows), tuple(sorted(node_configs)), image)
+    return _MaskTarget(kind, name, rows, tuple(sorted(node_configs)), image)
 
 
 def _drop_target(
@@ -374,30 +371,6 @@ def _passes_gate(interned: InternedProblem, target: _MaskTarget) -> bool:
     )
 
 
-def _compacted_rows(rows: tuple[int, ...], label_mask: int) -> tuple[int, ...]:
-    """The rows of the labels in ``label_mask``, re-indexed to those labels.
-
-    Each maximal run of kept bit positions moves down as one block, so the
-    rows of a merge or drop (one label cut) re-index in two shifts, not bit
-    by bit.
-    """
-    runs = []
-    offset, remaining = 0, label_mask
-    while remaining:
-        start = (remaining & -remaining).bit_length() - 1
-        length = ((remaining >> start) ^ ((remaining >> start) + 1)).bit_length() - 1
-        runs.append((start, (1 << length) - 1, offset))
-        offset += length
-        remaining &= ~(((1 << length) - 1) << start)
-    compacted = []
-    for index in iter_bits(label_mask):
-        packed = 0
-        for start, ones, shifted_to in runs:
-            packed |= (rows[index] >> start & ones) << shifted_to
-        compacted.append(packed)
-    return tuple(compacted)
-
-
 def _materialize(
     problem: Problem, interned: InternedProblem, target: _MaskTarget
 ) -> RelaxationMove:
@@ -409,11 +382,12 @@ def _materialize(
     """
     alphabet = interned.alphabet
     names = alphabet.names
+    kept = [target.label_mask >> index & 1 == 1 for index in range(alphabet.size)]
     built = Problem.from_adjacency(
         name=target.name,
         delta=problem.delta,
         names=alphabet.members(LabelMask(target.label_mask)),
-        rows=_compacted_rows(target.rows, target.label_mask),
+        rows=compacted_rows(target.rows, kept),
         node_configs=[alphabet.config(config) for config in target.node_configs],
     )
     return RelaxationMove(
@@ -488,9 +462,9 @@ def generate_hardenings(problem: Problem, max_moves: int = 8) -> list[Relaxation
     Each returned move's target is a constraint restriction of ``problem``
     (at least as hard; its solutions solve ``problem`` verbatim): the row
     gate has checked that its rows and configurations lie inside the
-    source's, which is what
-    :func:`~repro.core.relaxation.is_harder_restriction` states on the
-    string surface.  Degenerate targets (nothing left to output) and exact
+    source's, the check
+    :func:`~repro.core.relaxation.is_harder_restriction` runs by label
+    name.  Degenerate targets (nothing left to output) and exact
     duplicates are filtered.  These moves are for upper-bound chasing and
     are never offered to the lower-bound search.
     """

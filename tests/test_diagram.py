@@ -1,14 +1,16 @@
 """Tests for the label strength diagram."""
 
-from repro.core.diagram import (
-    compute_diagram,
-    merge_equivalent_labels,
-    replaceable,
-)
+from repro.core.diagram import compute_diagram, replaceable
 from repro.core.problem import Problem
 from repro.core.relaxation import is_relaxation_map
 from repro.core.speedup import speedup
 from repro.problems.sinkless import sinkless_coloring, sinkless_orientation
+from repro.search.moves import MERGE_EQUIVALENTS, generate_moves
+
+
+def merge_equivalents_moves(problem):
+    """The move generator's equivalence-class collapse (at most one move)."""
+    return [move for move in generate_moves(problem) if move.kind == MERGE_EQUIVALENTS]
 
 
 def test_replaceable_in_sinkless_orientation(so3):
@@ -31,21 +33,24 @@ def test_diagram_of_trivial_problem_is_full():
     )
     diagram = compute_diagram(problem)
     assert diagram.equivalent("a", "b")
-    assert diagram.equivalence_classes() == [frozenset({"a", "b"})]
+    assert diagram.stronger == {"a": {"a", "b"}, "b": {"a", "b"}}
 
 
-def test_merge_equivalent_labels_shrinks_free_problem():
+def test_merge_equivalents_shrinks_free_problem():
     problem = Problem.make(
         "free", 2, [("a", "a"), ("a", "b"), ("b", "b")], [("a", "a"), ("a", "b"), ("b", "b")]
     )
-    merged, mapping = merge_equivalent_labels(problem)
-    assert len(merged.labels) == 1
-    assert is_relaxation_map(problem, merged, mapping)
+    (move,) = merge_equivalents_moves(problem)
+    assert move.target.labels == {"a"}
+    assert move.mapping == {"a": "a", "b": "a"}
+    assert is_relaxation_map(problem, move.target, move.mapping)
+    assert is_relaxation_map(move.target, problem, {"a": "a"})
 
 
 def test_merge_keeps_distinct_labels(sc3):
-    merged, _mapping = merge_equivalent_labels(sc3)
-    assert len(merged.labels) == 2  # 0 and 1 play different roles
+    # 0 and 1 play different roles, so there is nothing to collapse.
+    assert not compute_diagram(sc3).equivalent("0", "1")
+    assert merge_equivalents_moves(sc3) == []
 
 
 def test_diagram_maximal_labels():
@@ -63,12 +68,15 @@ def test_diagram_maximal_labels():
     assert ("a", "b") in diagram.edges()
 
 
-def test_merged_problem_same_zero_round_status(sc3):
+def test_merged_problem_same_zero_round_status():
     """Merging equivalent labels never changes 0-round solvability."""
     from repro.core.zero_round import is_zero_round_solvable
 
-    merged, _ = merge_equivalent_labels(sc3)
-    assert is_zero_round_solvable(merged) == is_zero_round_solvable(sc3)
+    problem = Problem.make(
+        "free", 2, [("a", "a"), ("a", "b"), ("b", "b")], [("a", "a"), ("a", "b"), ("b", "b")]
+    )
+    (move,) = merge_equivalents_moves(problem)
+    assert is_zero_round_solvable(move.target) == is_zero_round_solvable(problem)
 
 
 def test_diagram_on_derived_problem_runs(sc3):
@@ -79,4 +87,3 @@ def test_diagram_on_derived_problem_runs(sc3):
         assert diagram.leq(label, label)
     # Note: meaning-inclusion does NOT imply strength here -- the node side
     # of a derived problem is universal, so larger sets are harder there.
-    assert diagram.equivalence_classes()

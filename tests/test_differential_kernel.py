@@ -29,7 +29,7 @@ from edge_relations import assert_behaves_as, legacy_edge_relation
 from twins import assert_twin_shares_key, renamed_twin
 import _legacy
 from repro.core.canonical import canonical_hash
-from repro.core.diagram import merge_equivalent_labels
+from repro.core.diagram import compute_diagram
 from repro.core.problem import Problem
 from repro.core.relaxation import (
     HARDENS,
@@ -235,10 +235,9 @@ def test_random_problems_are_diverse():
 # rewrite *exactly* -- same name, same alphabet, same constraints, same map.
 
 
-def string_merge(problem: Problem, a: str, b: str) -> Problem:
-    mapping = {label: (b if label == a else label) for label in problem.labels}
+def string_image(problem: Problem, mapping: dict[str, str], name: str) -> Problem:
     return Problem.make(
-        name=f"{problem.name}|{a}>{b}",
+        name=name,
         delta=problem.delta,
         edge_configs=[(mapping[x], mapping[y]) for x, y in problem.edge_constraint],
         node_configs=[
@@ -249,8 +248,34 @@ def string_merge(problem: Problem, a: str, b: str) -> Problem:
     )
 
 
+def string_merge(problem: Problem, a: str, b: str) -> Problem:
+    mapping = {label: (b if label == a else label) for label in problem.labels}
+    return string_image(problem, mapping, f"{problem.name}|{a}>{b}")
+
+
+def string_merge_equivalents(problem: Problem) -> tuple[Problem, dict[str, str]]:
+    diagram = compute_diagram(problem)
+    mapping = {
+        label: min(other for other in problem.labels if diagram.equivalent(label, other))
+        for label in problem.labels
+    }
+    return string_image(problem, mapping, f"{problem.name}|merged"), mapping
+
+
+def string_restricted(problem: Problem, keep: frozenset[str], name: str) -> Problem:
+    return Problem.make(
+        name=name,
+        delta=problem.delta,
+        edge_configs=[pair for pair in problem.edge_constraint if keep.issuperset(pair)],
+        node_configs=[
+            config for config in problem.node_constraint if keep.issuperset(config)
+        ],
+        labels=keep,
+    )
+
+
 def string_drop(problem: Problem, a: str) -> Problem:
-    return problem.restricted(problem.labels - {a}, name=f"{problem.name}|-{a}")
+    return string_restricted(problem, problem.labels - {a}, f"{problem.name}|-{a}")
 
 
 def string_addarrow(problem: Problem, a: str, b: str) -> Problem:
@@ -292,7 +317,7 @@ def assert_moves_match_string_path(problem: Problem) -> None:
         assert certificate.source_name == problem.name
         assert certificate.target_name == move.target.name
         if move.kind == MERGE_EQUIVALENTS:
-            expected, expected_mapping = merge_equivalent_labels(problem)
+            expected, expected_mapping = string_merge_equivalents(problem)
             assert move.mapping == expected_mapping
         elif move.kind == DROP:
             a, b = _collapsed_pair(move)
@@ -312,7 +337,7 @@ def assert_moves_match_string_path(problem: Problem) -> None:
         assert move.kind == HARDEN
         assert is_harder_restriction(problem, move.target)
         assert move.certificate().direction == HARDENS
-        expected = problem.restricted(move.target.labels, name=move.target.name)
+        expected = string_restricted(problem, move.target.labels, move.target.name)
         assert move.target == expected, move.describe()
 
 

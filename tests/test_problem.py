@@ -6,12 +6,15 @@ from hypothesis import strategies as st
 
 from edge_relations import assert_behaves_as, legacy_edge_relation
 from repro.core.problem import (
+    UNMAPPED,
     EdgeRelation,
     Problem,
     ProblemError,
     edge_config,
     node_config,
+    row_images,
 )
+from repro.problems.catalog import catalog
 from repro.utils.multiset import multisets_of_size
 
 
@@ -203,7 +206,7 @@ def assert_revalidates(problem: Problem) -> None:
     """``problem`` passes full validation and its size is the counted one."""
     assert type(problem.labels) is frozenset
     assert type(problem.node_constraint) is frozenset
-    assert type(problem.edge_constraint) in (frozenset, EdgeRelation)
+    assert type(problem.edge_constraint) is EdgeRelation
     rebuilt = Problem(
         name=problem.name,
         delta=problem.delta,
@@ -331,3 +334,163 @@ def test_transforms_preserve_the_invariants(choice):
     ]
     for output in outputs:
         assert_revalidates(output)
+
+
+# -- one edge format: adjacency rows over the sorted alphabet ----------------
+
+
+def assert_rows_over_labels(problem: Problem) -> None:
+    relation = problem.edge_constraint
+    assert type(relation) is EdgeRelation
+    assert relation.names == tuple(sorted(problem.labels))
+
+
+def test_every_construction_stores_rows():
+    pairs = frozenset({("a", "a"), ("a", "b")})
+    built = Problem("p", 2, frozenset("abc"), pairs, frozenset({("a", "b")}))
+    made = Problem.make("p", 2, [("b", "a"), ("a", "a")], [("b", "a")], labels="abc")
+    loaded = Problem.from_dict(made.to_dict())
+    for problem in (built, made, loaded):
+        assert_rows_over_labels(problem)
+        assert problem.edge_constraint == pairs and pairs == problem.edge_constraint
+        assert hash(problem.edge_constraint) == hash(pairs)
+    assert built == made == loaded
+    assert not isinstance(built.edge_constraint, frozenset)
+
+
+def test_rows_over_a_sub_alphabet_move_to_the_problem_alphabet():
+    relation = EdgeRelation(("a", "c"), (0b11, 0b01))
+    problem = Problem("p", 1, frozenset("abc"), relation, frozenset({("a",)}))
+    assert_rows_over_labels(problem)
+    assert problem.edge_constraint.masks == (0b101, 0, 0b001)
+    assert problem.edge_constraint == {("a", "a"), ("a", "c")}
+    with pytest.raises(ProblemError, match="malformed adjacency rows"):
+        Problem("p", 1, frozenset("ac"), EdgeRelation(("a", "c"), (0b100, 0)), frozenset())
+
+
+@pytest.mark.parametrize("name", sorted(catalog()))
+def test_catalog_problems_store_rows(name):
+    family = catalog()[name]
+    built = 0
+    for delta in (2, 3, 4):
+        try:
+            problem = family(delta)
+        except ValueError:
+            continue
+        assert_rows_over_labels(problem)
+        built += 1
+    assert built
+
+
+def pair_oracle(name, delta, labels, edges, nodes) -> Problem:
+    """A problem built from string pairs and tuples through ``make``."""
+    return Problem.make(name, delta, edges, nodes, labels=labels)
+
+
+def loaded(problem: Problem) -> tuple[Problem, dict]:
+    """A fresh copy of ``problem`` (its string pairs unbuilt) and its payload."""
+    data = problem.to_dict()
+    return Problem.from_dict(data), data
+
+
+def assert_row_transforms(source: Problem, cases: list[tuple[Problem, Problem]]) -> None:
+    """Each ``(result, expected)`` pair is equal, and no transform (nor the
+    comparison, a mask compare) built a string pair."""
+    for result, expected in cases:
+        assert result == expected
+        assert_rows_over_labels(result)
+    assert source.edge_constraint._pairs is None
+    assert all(result.edge_constraint._pairs is None for result, _ in cases)
+    for result, expected in cases:
+        assert result.to_dict() == expected.to_dict()
+
+
+@given(problems_and_label_choices())
+def test_renamed_restricted_compressed_match_a_pair_oracle(choice):
+    problem, mapping, keep = choice
+    source, data = loaded(problem)
+    name, delta = data["name"], data["delta"]
+    edges = [tuple(pair) for pair in data["edge_constraint"]]
+    nodes = [tuple(config) for config in data["node_constraint"]]
+
+    renamed = pair_oracle(
+        name,
+        delta,
+        [mapping[label] for label in data["labels"]],
+        [(mapping[a], mapping[b]) for a, b in edges],
+        [[mapping[label] for label in config] for config in nodes],
+    )
+    kept = set(keep)
+    restricted = pair_oracle(
+        f"{name}|restricted",
+        delta,
+        kept,
+        [pair for pair in edges if kept.issuperset(pair)],
+        [config for config in nodes if kept.issuperset(config)],
+    )
+    labels = set(data["labels"])
+    while True:
+        edges = [pair for pair in edges if labels.issuperset(pair)]
+        nodes = [config for config in nodes if labels.issuperset(config)]
+        usable = {label for pair in edges for label in pair}
+        usable &= {label for config in nodes for label in config}
+        if usable == labels:
+            break
+        labels = usable
+    compressed = pair_oracle(name, delta, labels, edges, nodes)
+    assert_row_transforms(
+        source,
+        [
+            (source.renamed(mapping), renamed),
+            (source.restricted(keep), restricted),
+            (source.compressed(), compressed),
+        ],
+    )
+
+
+def test_compressed_drops_labels_on_rows():
+    # e is dead (no node uses it); then c (its only edge was with e), then d
+    # (its only node was with c) drop in turn.
+    problem = Problem.make(
+        "p",
+        2,
+        [("a", "a"), ("b", "b"), ("c", "e"), ("d", "d")],
+        [("a", "a"), ("a", "b"), ("c", "d")],
+        labels="abcde",
+    )
+    source, _ = loaded(problem)
+    expected = Problem.make("p", 2, [("a", "a"), ("b", "b")], [("a", "a"), ("a", "b")])
+    assert_row_transforms(source, [(source.compressed(), expected)])
+
+
+@st.composite
+def index_maps(draw):
+    """An index map of one of the shapes the transforms use, or an arbitrary one."""
+    size = draw(st.integers(0, 70))
+    kind = draw(st.sampled_from(["arbitrary", "compaction", "permutation", "shift"]))
+    if kind == "arbitrary":
+        targets = draw(st.integers(1, 80))
+        image = draw(st.lists(st.integers(UNMAPPED, targets - 1), min_size=size, max_size=size))
+    elif kind == "compaction":
+        kept = draw(st.lists(st.booleans(), min_size=size, max_size=size))
+        image = [sum(kept[:index]) if keep else UNMAPPED for index, keep in enumerate(kept)]
+    elif kind == "permutation":
+        image = list(draw(st.permutations(range(size))))
+    else:
+        shift = draw(st.integers(-size, size))
+        image = [index + shift if index + shift >= 0 else UNMAPPED for index in range(size)]
+    rows = draw(st.lists(st.integers(0, (1 << size) - 1), max_size=6))
+    return image, rows
+
+
+@given(index_maps())
+def test_row_images_match_a_per_bit_oracle(case):
+    image, rows = case
+    expected = []
+    for row in rows:
+        mapped = 0
+        for index, target in enumerate(image):
+            if row >> index & 1 and target != UNMAPPED:
+                mapped |= 1 << target
+        expected.append(mapped)
+    assert list(row_images(image, rows)) == expected

@@ -151,8 +151,10 @@ def test_move_generation_builds_one_diagram():
 def test_weak3_pi1_moves_stay_condensed():
     """On the 976-label weak-3-coloring[2] Pi_1 (~373k edge pairs), the 24
     relaxation moves keep every edge constraint as adjacency rows: neither
-    the source nor any target ever builds its string pairs."""
+    the source nor any target ever builds its string pairs, not even when
+    every move's map is checked again across the two alphabets."""
     from repro.core.problem import EdgeRelation
+    from repro.core.relaxation import is_relaxation_map
     from repro.core.speedup import compute_speedup
 
     full = compute_speedup(get_problem("weak-3-coloring", 2)).full
@@ -161,6 +163,7 @@ def test_weak3_pi1_moves_stay_condensed():
     assert len(moves) == 24
     for move in moves:
         assert isinstance(move.target.edge_constraint, EdgeRelation), move.describe()
+        assert is_relaxation_map(full, move.target, move.mapping), move.describe()
     assert full.edge_constraint._pairs is None
     assert all(move.target.edge_constraint._pairs is None for move in moves)
 

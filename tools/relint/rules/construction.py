@@ -1,6 +1,6 @@
 """Problem construction goes through the validating trust boundary.
 
-``Problem.__post_init__`` validates shape, but only ``Problem.make`` (and
+``Problem(...)`` validates shape, but only ``Problem.make`` (and
 ``from_dict``, which routes through it) canonicalises user input -- sorting
 edge configs, deduplicating node configs, normalising names.  ``search``
 and ``engine`` code calling the bare constructor must therefore hand it
