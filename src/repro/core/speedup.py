@@ -527,9 +527,9 @@ def full_step(
     if simplify:
         # Only the *maximal* universal configurations survive Property 6, and
         # each one is the completion of its own (delta-1)-prefix: the last
-        # component is forced to be the up-closure of the jointly-allowed
-        # half labels.  Enumerating prefixes plus completions drops a whole
-        # exponent from the search compared to walking every delta-tuple --
+        # component is forced to be the set of jointly-allowed half labels.
+        # Enumerating prefixes plus completions drops a whole exponent from
+        # the search compared to walking every delta-tuple --
         # and the completions *stream* through a domination frontier, so the
         # historical a-priori grid refusal is retired on this path: memory is
         # bounded by the surviving frontier (``max_live_configs``) and time
@@ -541,7 +541,6 @@ def full_step(
             rank_of,
             delta,
             mins,
-            up,
             half_count,
             hall,
             frontier,
@@ -1014,7 +1013,6 @@ def _stream_maximal_configs(
     rank_of: Mapping[int, int],
     delta: int,
     mins: Sequence[tuple[int, ...]],
-    up: list[int],
     half_count: int,
     hall: AllowsTable | _MaskMembership,
     frontier: _MaskFrontier,
@@ -1026,9 +1024,13 @@ def _stream_maximal_configs(
     For a fixed (delta-1)-prefix ``(F_1, ..., F_{d-1})`` the last component
     ``G`` of a universal configuration must satisfy ``mins(G) <= U`` where
     ``U`` is the set of half labels ``z`` with every min-choice of the prefix
-    plus ``z`` allowed -- so the unique *maximal* completion is the
-    up-closure of ``U``.  A maximal universal configuration equals the
-    completion of the prefix obtained by deleting any one of its components
+    plus ``z`` allowed.  Realizability is monotone in each slot's meaning (a
+    larger meaning only adds positions), so every ``allowed_next`` answer is
+    an up-set of the half-label order, and so is ``U``, their AND: the
+    unique *maximal* completion is ``U`` itself, and ``rank_of[U]`` is its
+    rank (a ``KeyError`` there would fail loudly, never derive a wrong
+    Pi_1).  A maximal universal configuration equals the completion of the
+    prefix obtained by deleting any one of its components
     (the completion dominates it componentwise, and maximality forces
     equality), so enumerating all extendable prefixes and completing each
     yields a superset of the maximal configurations consisting of universal
@@ -1044,8 +1046,8 @@ def _stream_maximal_configs(
     extension attempted and per completion computed -- in deterministic DFS
     order.  Those units are fixed by the prefix walk alone, so when the
     a-priori :func:`_stream_work_bound` exceeds the cap, the same walk is
-    first run with a leaf that only counts (no completion's Hall queries,
-    up-closure or frontier insert).  If the count passes the cap while at
+    first run with a leaf that only counts (no completion's Hall queries or
+    frontier insert).  If the count passes the cap while at
     most ``frontier.max_live`` completions come before the trip, the stream
     would trip on candidates before the frontier could outgrow its cap, so
     the step is refused at once with the error the stream would raise
@@ -1077,8 +1079,6 @@ def _stream_maximal_configs(
     allowed_next = hall.allowed_next
     all_labels = (1 << half_count) - 1
     insert = frontier.insert
-    # U -> (rank of its up-closure); the same U recurs across prefixes.
-    completion_rank: dict[int, int] = {}
 
     def complete(prefix: list[int], choices: Iterable[tuple[int, ...]]) -> None:
         """Compute U for the prefix and stream its completion."""
@@ -1096,16 +1096,7 @@ def _stream_maximal_configs(
         stats.matching_s += perf_counter() - started
         if not allowed:
             return
-        rank = completion_rank.get(allowed)
-        if rank is None:
-            completion = 0
-            remaining = allowed
-            while remaining:
-                low = remaining & -remaining
-                remaining ^= low
-                completion |= up[low.bit_length() - 1]
-            rank = completion_rank[allowed] = rank_of[completion]
-        config = tuple([candidates[r] for r in sorted([*prefix, rank])])
+        config = tuple([candidates[r] for r in sorted([*prefix, rank_of[allowed]])])
         started = perf_counter()
         insert(config)
         stats.domination_s += perf_counter() - started
@@ -1122,77 +1113,81 @@ class _MaskFrontier:
     equality, so the surviving *set* is the unique maximal antichain of the
     stream -- independent of insertion order, which is what makes the
     streaming full step byte-identical to the historic collect-then-filter
-    pass.  A strict dominator always has strictly more total
-    bits, so only entries with a strictly larger total are dominator
-    candidates (and only strictly smaller totals can be evicted), with the
-    union-superset and sorted-popcount-profile prefilters skipping almost
-    every exact matching test.
+    pass.  A strict dominator always has strictly more total bits, so the
+    entries are grouped by total: only groups with a larger total are
+    searched for a dominator, only smaller ones for victims, and the
+    newcomer's own group not at all.  On the 976-label weak-3-coloring[2]
+    Pi_1 every completion has the same total, and the ungrouped scan made
+    118,828 comparisons per derivation that could find nothing.  Inside the
+    searched groups the union-superset and sorted-popcount-profile
+    prefilters skip almost every exact matching test.
 
-    Almost every completion of a long stream is dominated, so the scan looks
-    for a dominator newest entry first, and an entry that dominates moves to
-    the newest place: the next completion shares most of its prefix and is
-    usually dominated by the same entry.  The order of the scan changes
-    which entry is found, never the outcome, the evictions or ``peak``.
+    Almost every completion of a long stream is dominated, so the scan
+    visits the group that dominated last first and, inside a group, the
+    newest entry first; an entry that dominates moves to the newest place
+    of its group, and its group to the front of the scan: the next
+    completion shares most of its prefix and is usually dominated by the
+    same entry.  The order of the scan changes which entry is found, never
+    the outcome, the evictions or ``peak``.
 
     ``max_live`` caps the *live* frontier: the error fires only when the
     undominated set itself -- and with it the derived problem's node
     constraint -- would exceed the cap, never on the raw completion count.
 
     The fold is scalar by measurement: a numpy frontier took 0.036 s
-    against 0.017 s over the eleven cold derivations of the ``derive-cold``
-    benchmark workload, and 5.0 s against 2.8 s on weak-2-coloring[3]
-    classify.
+    against 0.017 s for the ungrouped scalar scan over the eleven cold
+    derivations of the ``derive-cold`` benchmark workload, and 5.0 s
+    against 2.8 s on weak-2-coloring[3] classify.
     """
 
     def __init__(self, max_live: int):
         self.max_live = max_live
-        self._entries: dict[
-            tuple[int, ...], tuple[int, tuple[int, ...], int]
-        ] = {}
+        self._live: set[tuple[int, ...]] = set()
+        # total bits -> {config: (sorted popcounts, union)}
+        self._groups: dict[int, dict[tuple[int, ...], tuple[list[int], int]]] = {}
         self.peak = 0
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self._live)
 
     def insert(self, config: tuple[int, ...]) -> None:
-        entries = self._entries
-        if config in entries:
+        live, groups = self._live, self._groups
+        if config in live:
             return
         union = 0
         for component in config:
             union |= component
-        popcounts = tuple(sorted(map(int.bit_count, config), reverse=True))
+        popcounts = sorted(map(int.bit_count, config))
         total = sum(popcounts)
-        victims: list[tuple[int, ...]] = []
-        # Newest first; a dominator moves to the end (see the class docstring).
-        for kept_config, (kept_total, kept_pops, kept_union) in reversed(
-            entries.items()
-        ):
+        victims: list[tuple[int, tuple[int, ...]]] = []
+        # Most recent dominator first: its group, then its place in the group.
+        for kept_total, kept in reversed(groups.items()):
             if kept_total > total:
-                if union & ~kept_union:
-                    continue
-                if any(map(gt, popcounts, kept_pops)):
-                    continue
-                if _config_dominates(kept_config, config):
-                    # A frontier member dominating the newcomer excludes any
-                    # frontier member dominated by it (the frontier is an
-                    # antichain and domination is transitive), so no evictions
-                    # can have been collected; drop the newcomer.
-                    entries[kept_config] = entries.pop(kept_config)
-                    return
+                for kept_config, (kept_pops, kept_union) in reversed(kept.items()):
+                    if union & ~kept_union or any(map(gt, popcounts, kept_pops)):
+                        continue
+                    if _config_dominates(kept_config, config):
+                        # A frontier member dominating the newcomer excludes
+                        # any frontier member dominated by it (the frontier is
+                        # an antichain and domination is transitive), so no
+                        # evictions can have been collected; drop the newcomer.
+                        kept[kept_config] = kept.pop(kept_config)
+                        groups[kept_total] = groups.pop(kept_total)
+                        return
             elif kept_total < total:
-                if kept_union & ~union:
-                    continue
-                if any(map(lt, popcounts, kept_pops)):
-                    continue
-                if _config_dominates(config, kept_config):
-                    victims.append(kept_config)
-        for victim in victims:
-            del entries[victim]
-        entries[config] = (total, popcounts, union)
-        if len(entries) > self.peak:
-            self.peak = len(entries)
-        if len(entries) > self.max_live:
+                for kept_config, (kept_pops, kept_union) in kept.items():
+                    if kept_union & ~union or any(map(lt, popcounts, kept_pops)):
+                        continue
+                    if _config_dominates(config, kept_config):
+                        victims.append((kept_total, kept_config))
+        for kept_total, victim in victims:
+            del groups[kept_total][victim]
+            live.remove(victim)
+        groups.setdefault(total, {})[config] = (popcounts, union)
+        live.add(config)
+        if len(live) > self.peak:
+            self.peak = len(live)
+        if len(live) > self.max_live:
             raise EngineLimitError(
                 f"streaming full step holds more than {self.max_live} "
                 f"undominated candidate configurations",
@@ -1202,7 +1197,7 @@ class _MaskFrontier:
             )
 
     def survivors(self) -> list[tuple[int, ...]]:
-        return sorted(self._entries)
+        return sorted(self._live)
 
 
 def _config_dominates(big: tuple[int, ...], small: tuple[int, ...]) -> bool:

@@ -298,6 +298,36 @@ def test_allowed_next_matches_scalar_past_the_word_boundary():
     assert table.allowed_next(()).bit_length() > 64
 
 
+@pytest.mark.parametrize("seed", range(1, 200, 6))
+def test_allowed_next_answers_are_up_sets(seed):
+    """Realizability is monotone in each slot's meaning, so an allowed half
+    label brings every label above it: the full step takes the AND of these
+    answers as its completion without an up-closure."""
+    problem = random_problem(seed)
+    rng = random.Random(seed)
+    size = len(problem.labels)
+    for meaning_masks in (
+        half_label_masks(problem),
+        sorted({rng.randrange(1, 1 << size) for _ in range(7)}),
+    ):
+        if not meaning_masks:
+            continue
+        up = [
+            sum(1 << j for j, above in enumerate(meaning_masks) if below & ~above == 0)
+            for below in meaning_masks
+        ]
+        for hall in hall_pair(problem, meaning_masks):
+            for _ in range(25):
+                choice = tuple(
+                    rng.randrange(len(meaning_masks))
+                    for _ in range(rng.randrange(problem.delta))
+                )
+                allowed = hall.allowed_next(choice)
+                for label, above in enumerate(up):
+                    if allowed >> label & 1:
+                        assert above & ~allowed == 0, (choice, label)
+
+
 def test_allowed_next_with_no_configurations_or_no_labels_allows_nothing():
     problem = Problem.make("none", 2, [("a", "a")], [], labels=["a", "b"])
     table, scalar = hall_pair(problem, [0b01, 0b10, 0b11])
@@ -335,33 +365,96 @@ def maximal_antichain(configs: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
     return sorted(by_sets[kept] for kept in _legacy._discard_dominated(list(by_sets)))
 
 
+def one_total_antichain(
+    rng: random.Random, delta: int, bit_count: int, ones: int, size: int
+) -> list[tuple[int, ...]]:
+    """Distinct configurations whose components all have ``ones`` bits.
+
+    Every configuration has the same total, so no two dominate each other.
+    """
+    configs: set[tuple[int, ...]] = set()
+    while len(configs) < size:
+        configs.add(
+            tuple(
+                sorted(
+                    sum(1 << bit for bit in rng.sample(range(bit_count), ones))
+                    for _ in range(delta)
+                )
+            )
+        )
+    return sorted(configs)
+
+
+def one_bit_changed(
+    rng: random.Random, config: tuple[int, ...], bit_count: int, add: bool
+) -> tuple[int, ...] | None:
+    """``config`` with one bit added to (or removed from) one component: a
+    strict dominator at a larger total, or a dominated one at a smaller."""
+    position = rng.randrange(len(config))
+    component = config[position]
+    bits = [
+        bit
+        for bit in range(bit_count)
+        if (component >> bit & 1) != add and (add or component.bit_count() > 1)
+    ]
+    if not bits:
+        return None
+    changed = list(config)
+    changed[position] = component ^ (1 << rng.choice(bits))
+    return tuple(sorted(changed))
+
+
+def one_dominant_total(seed: int, bit_count: int) -> list[tuple[int, ...]]:
+    """Mostly a one-total antichain, plus strict dominators at larger totals
+    and dominated configurations at smaller ones."""
+    rng = random.Random(seed)
+    antichain = one_total_antichain(rng, rng.randint(1, 3), bit_count, 3, rng.randint(20, 40))
+    configs = set(antichain)
+    for _ in range(rng.randint(1, 8)):
+        for add in (True, False):
+            changed = one_bit_changed(rng, rng.choice(antichain), bit_count, add)
+            if changed is not None:
+                configs.add(changed)
+    return sorted(configs)
+
+
 @pytest.mark.parametrize("bit_count", [10, 70])
 @pytest.mark.parametrize("seed", range(15))
 def test_frontier_keeps_the_unique_maximal_antichain(seed, bit_count):
-    """Survivors are the maximal antichain, whatever the insertion order."""
-    _, configs = random_configs(seed, bit_count)
-    reference = maximal_antichain(configs)
+    """Survivors are the maximal antichain, whatever the insertion order and
+    however often a configuration repeats: on random configurations, and on
+    a mostly one-total antichain with strict dominators at larger totals
+    and dominated configurations at smaller ones."""
     rng = random.Random(seed)
-    for _ in range(4):
-        order = list(configs)
-        rng.shuffle(order)
-        frontier = _MaskFrontier(1 << 20)
-        for config in order:
-            frontier.insert(config)
-        assert frontier.survivors() == reference
-        assert frontier.peak >= len(reference)
+    for configs in (random_configs(seed, bit_count)[1], one_dominant_total(seed, bit_count)):
+        reference = maximal_antichain(configs)
+        for _ in range(4):
+            order = configs + rng.sample(configs, len(configs) // 2)
+            rng.shuffle(order)
+            frontier = _MaskFrontier(1 << 20)
+            for config in order:
+                frontier.insert(config)
+            assert frontier.survivors() == reference
+            assert len(frontier) == len(reference) <= frontier.peak
 
 
 def test_frontier_live_cap_trips_one_past_the_cap():
-    # An antichain of singletons: nothing dominates anything, so the live
-    # frontier grows one per insertion and the cap fires on insertion 4.
-    frontier = _MaskFrontier(3)
-    with pytest.raises(EngineLimitError) as trip:
-        for i in range(8):
-            frontier.insert((1 << i,))
-    assert trip.value.limit_name == "max_live_configs"
-    assert trip.value.limit == 3
-    assert trip.value.observed == 4
+    """Configurations of one total never dominate each other, so the live
+    frontier grows one per insertion and the cap fires on insertion
+    ``cap + 1``: singletons under a cap of 3, pairs of 4-bit sets under 25."""
+    for cap, antichain in [
+        (3, [(1 << i,) for i in range(8)]),
+        (25, one_total_antichain(random.Random(5), 2, 10, 4, 30)),
+    ]:
+        frontier = _MaskFrontier(cap)
+        for config in antichain[:cap]:
+            frontier.insert(config)
+        assert len(frontier) == frontier.peak == cap
+        with pytest.raises(EngineLimitError) as trip:
+            frontier.insert(antichain[cap])
+        assert trip.value.limit_name == "max_live_configs"
+        assert trip.value.limit == cap
+        assert trip.value.observed == cap + 1
 
 
 # -- end to end against the string path ------------------------------------------
