@@ -25,10 +25,11 @@ sorted canonical form  the integer itself
 
 The :class:`Alphabet` owns the int<->name mapping, so the string API of
 :class:`~repro.core.problem.Problem` remains the only public surface; masks
-never leak into wire formats or result dataclasses.  :func:`intern` attaches
-a cached :class:`InternedProblem` view (index-tuple configurations, adjacency
-masks, per-configuration position masks) to each problem, so repeated
-derivations over the same problem pay the interning cost once.
+never leak into wire formats, and result dataclasses keep them only behind
+the read-only :class:`MeaningMap`, which reads as names.  :func:`intern`
+attaches a cached :class:`InternedProblem` view (index-tuple configurations,
+adjacency masks, per-configuration position masks) to each problem, so
+repeated derivations over the same problem pay the interning cost once.
 
 Bit positions follow the *sorted order of the label names*.  This invariant
 is load-bearing: a tuple of indices in non-decreasing order converts to a
@@ -41,7 +42,7 @@ the test-only oracle ``tests/_legacy.py`` and the differential tests).
 from __future__ import annotations
 
 import string
-from collections.abc import Collection, Iterable, Iterator, Sequence
+from collections.abc import Collection, Iterable, Iterator, Mapping, Sequence
 from itertools import compress, count
 from typing import TYPE_CHECKING, Literal, cast
 
@@ -78,6 +79,7 @@ __all__ = [
     "InternedProblem",
     "LabelIndex",
     "LabelMask",
+    "MeaningMap",
     "bit_indices",
     "intern",
     "iter_bits",
@@ -393,3 +395,100 @@ def short_names(count: int, avoid: Collection[Label] = ()) -> list[Label]:
             continue
         names.append(candidate)
     return names
+
+
+#: The largest :class:`MeaningMap` that keeps the meanings it has decoded.
+_MEMO_MAX_LABELS = 256
+
+
+class MeaningMap(Mapping[Label, frozenset[Label]]):
+    """Read-only provenance: each label's meaning as a mask over member names.
+
+    Bit ``i`` of ``masks[label]`` is set iff ``members[i]`` belongs to the
+    meaning of ``label``.  ``members`` may be in any order and may name
+    anything (a forged certificate's provenance is still representable, and
+    still rejected by verification); a meaning is decoded into a frozenset
+    only when it is read.  :meth:`renamed` renames the members and shares
+    ``masks``, which is what makes a renamed-twin cache hit cost
+    O(members) instead of O(labels x members) (:mod:`repro.engine.cache`).
+    The map has no mutators, so results that share it cannot poison each
+    other; equality is ``Mapping`` equality, so it equals the plain dict of
+    the same meanings.
+    """
+
+    __slots__ = ("members", "masks", "_decoded")
+
+    def __init__(self, members: Sequence[Label], masks: Mapping[Label, int]):
+        self.members: tuple[Label, ...] = tuple(members)
+        self.masks = masks
+        # Meanings already read, kept only by small maps (see __getitem__).
+        self._decoded: dict[Label, frozenset[Label]] = {}
+
+    @classmethod
+    def of(cls, meanings: Mapping[Label, Iterable[Label]]) -> MeaningMap:
+        """The map of ``meanings`` (returned as is when it already is one).
+
+        Members get bit positions in order of first appearance.
+        """
+        if isinstance(meanings, MeaningMap):
+            return meanings
+        bit_of: dict[Label, int] = {}
+        masks: dict[Label, int] = {}
+        for label, members in meanings.items():
+            mask = 0
+            for member in members:
+                bit = bit_of.get(member)
+                if bit is None:
+                    bit = bit_of[member] = 1 << len(bit_of)
+                mask |= bit
+            masks[label] = mask
+        return cls(tuple(bit_of), masks)
+
+    def renamed(self, rename: Mapping[Label, Label]) -> MeaningMap:
+        """The same meanings over renamed members (``rename`` must be injective)."""
+        return MeaningMap([rename[member] for member in self.members], self.masks)
+
+    def masks_over(self, alphabet: Alphabet, labels: Iterable[Label]) -> list[LabelMask]:
+        """The meanings of ``labels`` as masks over ``alphabet``'s bit positions."""
+        masks = self.masks
+        if self.members == alphabet.names:
+            return [LabelMask(masks[label]) for label in labels]
+        return [alphabet.mask(self[label]) for label in labels]
+
+    def __getitem__(self, label: Label) -> frozenset[Label]:
+        """Decode one meaning; a small map keeps it for the next read.
+
+        Pi_{1/2}'s meanings are what every Pi_1 meaning is made of, so
+        expanding provenance reads them over and over, and one shared
+        frozenset per label beats one per read.  A map of more than
+        ``_MEMO_MAX_LABELS`` labels (a large Pi_1, which the cache keeps for
+        the life of the process without weighing its meanings) decodes each
+        read afresh, so reading it does not pin its frozensets.
+        """
+        meaning = self._decoded.get(label)
+        if meaning is None:
+            members = self.members
+            meaning = frozenset([members[i] for i in bit_indices(self.masks[label])])
+            if len(self.masks) <= _MEMO_MAX_LABELS:
+                self._decoded[label] = meaning
+        return meaning
+
+    def __contains__(self, label: object) -> bool:
+        return label in self.masks
+
+    def __iter__(self) -> Iterator[Label]:
+        return iter(self.masks)
+
+    def __len__(self) -> int:
+        return len(self.masks)
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, MeaningMap) and self.members == other.members:
+            return self.masks == other.masks
+        return super().__eq__(other)
+
+    def __reduce__(self) -> tuple[object, ...]:
+        return (MeaningMap, (self.members, self.masks))
+
+    def __repr__(self) -> str:
+        return f"MeaningMap({dict(self.items())!r})"

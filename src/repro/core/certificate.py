@@ -194,9 +194,7 @@ def _check_speedup_step(
     except EngineLimitError as exc:
         return [f"step {index}: could not re-derive: {exc}"]
     failures: list[str] = []
-    if recorded.half != fresh.half or dict(recorded.half_meaning) != dict(
-        fresh.half_meaning
-    ):
+    if recorded.half != fresh.half or recorded.half_meaning != fresh.half_meaning:
         failures.append(
             f"step {index}: recorded half step does not match the re-derived one"
         )

@@ -56,6 +56,7 @@ from typing import Any
 
 from repro.core.alphabet import (
     Alphabet,
+    MeaningMap,
     bit_indices,
     intern,
     mask_matching_exists,
@@ -124,8 +125,13 @@ class HalfStepResult:
 
     original: Problem
     problem: Problem
-    meaning: dict[Label, frozenset[Label]]
+    meaning: MeaningMap
     simplified: bool
+
+    def __post_init__(self) -> None:
+        # Any mapping of member collections is accepted and held as the one
+        # read-only meaning format.
+        object.__setattr__(self, "meaning", MeaningMap.of(self.meaning))
 
     def to_dict(self) -> dict[str, object]:
         """JSON-ready form (inverse of :meth:`from_dict`)."""
@@ -141,9 +147,7 @@ class HalfStepResult:
         return HalfStepResult(
             original=Problem.from_dict(data["original"]),
             problem=Problem.from_dict(data["problem"]),
-            meaning={
-                name: frozenset(members) for name, members in data["meaning"].items()
-            },
+            meaning=MeaningMap.of(data["meaning"]),
             simplified=data["simplified"],
         )
 
@@ -155,15 +159,22 @@ class SpeedupResult:
     ``full`` carries short atomic labels (ready for iteration);
     ``full_meaning`` maps each of them to the set of half-step label names it
     stands for, and ``half_meaning`` maps half-step names to sets of original
-    labels, so provenance is recoverable across iterations.
+    labels, so provenance is recoverable across iterations.  Both are
+    read-only :class:`~repro.core.alphabet.MeaningMap` objects (any mapping
+    passed in is converted once), so a result the cache shares cannot be
+    poisoned.
     """
 
     original: Problem
     half: Problem
-    half_meaning: dict[Label, frozenset[Label]]
+    half_meaning: MeaningMap
     full: Problem
-    full_meaning: dict[Label, frozenset[Label]]
+    full_meaning: MeaningMap
     simplified: bool
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "half_meaning", MeaningMap.of(self.half_meaning))
+        object.__setattr__(self, "full_meaning", MeaningMap.of(self.full_meaning))
 
     def full_label_as_original_sets(self, label: Label) -> frozenset[frozenset[Label]]:
         """Expand a derived label to its set-of-sets over the original alphabet."""
@@ -178,9 +189,9 @@ class SpeedupResult:
 
         Attached out-of-band via the instance ``__dict__`` by
         :func:`full_step`, so present on freshly computed results.
-        :meth:`repro.engine.Engine.speedup` copies them onto the stored
-        object, so an in-memory cache hit on the identical problem returns
-        that object and its stats; a renamed-twin hit (a translated copy), an
+        :meth:`repro.engine.Engine.speedup` stores that very object, so an
+        in-memory cache hit on the identical problem returns it and its
+        stats; a renamed-twin hit (a translated copy), an
         entry loaded from a cache directory, :meth:`from_dict` and
         unpickling give ``None``.  Wall-clock numbers deliberately stay out
         of ``to_dict`` / equality / pickles so the result payload remains
@@ -189,22 +200,15 @@ class SpeedupResult:
         return self.__dict__.get("_kernel_stats")
 
     def __reduce__(self) -> tuple[object, ...]:
-        """Pickle via plain dict meanings.
-
-        Cache hits carry ``MappingProxyType`` meaning views (the cache's
-        poisoning guard), which cannot cross a pickle boundary; a process
-        pool shipping results would crash on exactly the cached ones.  The
-        unpickled copy holds plain dicts -- it lives in another process, so
-        read-only views would guard nothing there anyway.
-        """
+        """Pickle the fields only, leaving the out-of-band kernel stats behind."""
         return (
             SpeedupResult,
             (
                 self.original,
                 self.half,
-                dict(self.half_meaning),
+                self.half_meaning,
                 self.full,
-                dict(self.full_meaning),
+                self.full_meaning,
                 self.simplified,
             ),
         )
@@ -235,15 +239,9 @@ class SpeedupResult:
         return SpeedupResult(
             original=Problem.from_dict(data["original"]),
             half=Problem.from_dict(data["half"]),
-            half_meaning={
-                name: frozenset(members)
-                for name, members in data["half_meaning"].items()
-            },
+            half_meaning=MeaningMap.of(data["half_meaning"]),
             full=Problem.from_dict(data["full"]),
-            full_meaning={
-                name: frozenset(members)
-                for name, members in data["full_meaning"].items()
-            },
+            full_meaning=MeaningMap.of(data["full_meaning"]),
             simplified=data["simplified"],
         )
 
@@ -386,12 +384,10 @@ def half_step(
             )
         half_masks = list(range(1, alphabet.full_mask + 1))
 
-    name_of_mask = {mask: alphabet.mask_name(mask) for mask in half_masks}
-    meaning = {name: alphabet.label_set(mask) for mask, name in name_of_mask.items()}
-    meaning_mask = {name: mask for mask, name in name_of_mask.items()}
+    meaning_mask = {alphabet.mask_name(mask): mask for mask in half_masks}
 
     # The edge constraint as adjacency rows over the sorted half names.
-    ordered_names = sorted(meaning)
+    ordered_names = sorted(meaning_mask)
     position = {meaning_mask[name]: index for index, name in enumerate(ordered_names)}
     rows = [0] * len(ordered_names)
     for mask in half_masks:
@@ -422,13 +418,16 @@ def half_step(
     derived = Problem._from_canonical(
         name=f"{problem.name}|half" + ("" if simplify else "|raw"),
         delta=problem.delta,
-        labels=frozenset(meaning),
+        labels=frozenset(meaning_mask),
         edge_constraint=EdgeRelation(tuple(ordered_names), tuple(rows)),
         node_constraint=frozenset(node_configs),
     ).compressed()
-    kept_meaning = {name: meaning[name] for name in derived.labels}
+    meaning = MeaningMap(
+        alphabet.names,
+        {name: meaning_mask[name] for name in ordered_names if name in derived.labels},
+    )
     return HalfStepResult(
-        original=problem, problem=derived, meaning=kept_meaning, simplified=simplify
+        original=problem, problem=derived, meaning=meaning, simplified=simplify
     )
 
 
@@ -462,7 +461,6 @@ def full_step(
     which ``observed`` count, are identical for every limit setting.
     """
     half_problem = half.problem
-    meaning = half.meaning
     original_alphabet = intern(half.original).alphabet
     if stats is None:
         stats = KernelStats()
@@ -471,9 +469,7 @@ def full_step(
     # each gets its meaning as a mask over the *original* alphabet.
     half_alphabet = Alphabet(half_problem.labels)
     half_count = half_alphabet.size
-    meaning_masks = [
-        original_alphabet.mask(meaning[name]) for name in half_alphabet.names
-    ]
+    meaning_masks = half.meaning.masks_over(original_alphabet, half_alphabet.names)
 
     # The subset order on meanings, as mask tables over the half alphabet:
     # up[i] = labels j with meaning(i) <= meaning(j), down[i] the converse.
@@ -681,15 +677,14 @@ def full_step(
         edge_constraint=edge_constraint,
         node_constraint=node_constraint,
     )
-    full_meaning = {
-        short_of[index]: frozenset(half_alphabet.config(used_members[index]))
-        for index in surviving
-    }
+    full_meaning = MeaningMap(
+        half_alphabet.names, {short_of[index]: used_masks[index] for index in surviving}
+    )
     stats.materialise_s += perf_counter() - started
     result = SpeedupResult(
         original=half.original,
         half=half_problem,
-        half_meaning=dict(half.meaning),
+        half_meaning=half.meaning,
         full=renamed,
         full_meaning=full_meaning,
         simplified=simplify and half.simplified,

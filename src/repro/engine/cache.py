@@ -16,9 +16,8 @@ one JSON file named by the key's digest, and misses consult the directory
 before recomputing, so warm starts survive process boundaries.  The LRU, the
 files, temp-file sweeping, ``store_failures`` and delta recording are the
 shared :class:`repro.utils.jsonio.JsonStore` (:attr:`SpeedupCache.entries`);
-this module adds the canonical keys, hit translation, freezing and the
-meters, and decodes a file only when its stored original re-keys to the
-requested key.
+this module adds the canonical keys, hit translation and the meters, and
+decodes a file only when its stored original re-keys to the requested key.
 
 Misses are not coalesced in-process: caller threads that miss on one
 canonical key at the same time each derive, and the derivation being
@@ -47,13 +46,11 @@ captured as a ``(key, CacheEntry)`` delta the parent merges back with
 
 from __future__ import annotations
 
-import dataclasses
 import time
 from pathlib import Path
-from types import MappingProxyType
 from typing import Any, NamedTuple
 
-from repro.core.alphabet import set_label_name
+from repro.core.alphabet import MeaningMap, set_label_name
 from repro.core.canonical import CanonicalForm, canonical_form
 from repro.core.problem import Problem
 from repro.core.speedup import SpeedupResult
@@ -80,21 +77,6 @@ def _weight(entry: CacheEntry) -> int:
     )
 
 
-def _freeze(result: SpeedupResult) -> SpeedupResult:
-    """Make the meaning dicts read-only before a result is shared.
-
-    Cache hits hand the same object to every caller; read-only views turn a
-    would-be silent cache poisoning (a caller mutating ``full_meaning``)
-    into an immediate TypeError at the mutation site.  Equality with plain
-    dicts is unaffected.
-    """
-    return dataclasses.replace(
-        result,
-        half_meaning=MappingProxyType(dict(result.half_meaning)),
-        full_meaning=MappingProxyType(dict(result.full_meaning)),
-    )
-
-
 def _translate(
     entry: CacheEntry,
     problem: Problem,
@@ -103,42 +85,33 @@ def _translate(
 ) -> SpeedupResult:
     """Re-express a stored result in the requesting problem's label space.
 
-    Costs O(labels), not O(edge pairs): the derived Pi_1 keeps its stored
-    short names, so it is shared under the request's name, unvalidated
-    (the stored problem was valid when it was derived or loaded).
+    Costs O(|Pi| + |Pi_{1/2}|), not O(edge pairs) nor O(|Pi_1| x
+    |Pi_{1/2}|): the derived Pi_1 keeps its stored short names, so it is
+    shared under the request's name, unvalidated (the stored problem was
+    valid when it was derived or loaded), and both meaning maps are renamed
+    member by member, sharing the stored masks.
     """
     stored = entry.result
-    # ordering[i] of the stored form corresponds to ordering[i] of the
-    # request's form; compose to map stored original labels to request labels.
-    to_request = {
-        stored_label: form.ordering[i]
-        for i, stored_label in enumerate(entry.form.ordering)
-    }
     if stored.original == problem:
         return stored
+    # ordering[i] of the stored form corresponds to ordering[i] of the
+    # request's form; compose to map stored original labels to request labels.
+    to_request = dict(zip(entry.form.ordering, form.ordering))
 
     suffix = "" if simplify else "|raw"
-    half_rename = {
-        name: set_label_name(to_request[member] for member in members)
-        for name, members in stored.half_meaning.items()
-    }
+    request_half = stored.half_meaning.renamed(to_request)
+    half_rename = {name: set_label_name(meaning) for name, meaning in request_half.items()}
     half = stored.half.renamed(half_rename, name=f"{problem.name}|half{suffix}")
-    half_meaning = {
-        half_rename[name]: frozenset(to_request[member] for member in members)
-        for name, members in stored.half_meaning.items()
-    }
-    # One C-level map per label: a 976-label Pi_1 translates ~370k members.
-    rename_half = half_rename.__getitem__
-    full_meaning = {
-        label: frozenset(map(rename_half, members))
-        for label, members in stored.full_meaning.items()
-    }
+    half_meaning = MeaningMap(
+        request_half.members,
+        {half_rename[name]: mask for name, mask in request_half.masks.items()},
+    )
     return SpeedupResult(
         original=problem,
         half=half,
         half_meaning=half_meaning,
         full=stored.full.with_name(f"{problem.name}+1"),
-        full_meaning=full_meaning,
+        full_meaning=stored.full_meaning.renamed(half_rename),
         simplified=stored.simplified,
     )
 
@@ -201,7 +174,7 @@ class SpeedupCache:
         # re-keying the stored original catches it here and degrades to a miss.
         if SpeedupCache._key(form, key.startswith("simplified:")) != key:
             return None
-        return CacheEntry(form, _freeze(result))
+        return CacheEntry(form, result)
 
     # -- public API ----------------------------------------------------------
 
@@ -251,27 +224,19 @@ class SpeedupCache:
             self.hits += 1
         return _translate(entry, problem, form, simplify), form, key
 
-    def store(
-        self, key: str, form: CanonicalForm, result: SpeedupResult
-    ) -> SpeedupResult:
-        """Store a freshly computed result: :meth:`merge`, then write its file.
+    def store(self, key: str, form: CanonicalForm, result: SpeedupResult) -> None:
+        """Store a freshly computed result: :meth:`merge`, then write its file."""
+        self.merge(key, form, result)
+        self.entries.persist(key, CacheEntry(form, result))
 
-        Returns the frozen shared copy.
-        """
-        frozen = self.merge(key, form, result)
-        self.entries.persist(key, CacheEntry(form, frozen))
-        return frozen
-
-    def merge(self, key: str, form: CanonicalForm, result: SpeedupResult) -> SpeedupResult:
+    def merge(self, key: str, form: CanonicalForm, result: SpeedupResult) -> None:
         """Adopt an entry computed elsewhere (a worker process).
 
         No hit/miss accounting and no disk write: when a cache directory is
         configured the worker shares it and has already persisted the entry.
-        Returns the frozen shared copy now serving hits.
+        The result itself serves later hits; its meaning maps are read-only.
         """
-        entry = CacheEntry(form, _freeze(result))
-        self.entries.put(key, entry)
-        return entry.result
+        self.entries.put(key, CacheEntry(form, result))
 
     def note_dispatched_miss(self) -> None:
         """Count a miss resolved by dispatching to an external worker."""

@@ -218,15 +218,11 @@ class Engine:
             max_candidate_configs=cfg.max_candidate_configs,
             max_live_configs=cfg.max_live_configs,
         )
-        # store() returns the frozen shared copy (read-only meaning maps),
-        # so hits and the original call observe the same object.  The
-        # out-of-band per-fold timing counters describe the derivation that
-        # produced the entry, so they ride along: the cold caller (and any
-        # later hit on the same stored object) can read them.
-        stored = self._cache.store(key, form, result)
-        if result.kernel_stats is not None:
-            stored.__dict__["_kernel_stats"] = result.kernel_stats
-        return stored
+        # The result itself is stored (its meaning maps are read-only), so
+        # hits on the identical problem return this object and its
+        # out-of-band per-fold timing counters.
+        self._cache.store(key, form, result)
+        return result
 
     def iterate_speedup(
         self, problem: Problem, steps: int, simplify: bool | None = None

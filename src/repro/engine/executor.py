@@ -652,7 +652,8 @@ def speedup_batch(
             assert isinstance(result, SpeedupResult)
             # Re-merge under the leader's own key: the worker recorded the
             # entry too, but its batch may have evicted it before draining.
-            resolved[index] = cache.merge(key, form, result)
+            cache.merge(key, form, result)
+            resolved[index] = result
         merge_s += time.perf_counter() - merge_start
     for index, key in followers:
         if key in failed_keys:

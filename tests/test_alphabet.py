@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.alphabet import (
     Alphabet,
+    MeaningMap,
     bit_indices,
     intern,
     iter_bits,
@@ -184,3 +185,46 @@ def test_nasty_labels_derive_and_translate_through_the_cache():
     assert dict(hit.half_meaning) == dict(fresh.half_meaning)
     assert all(name == set_label_name(m) for name, m in hit.half_meaning.items())
     assert full_meanings(hit) == full_meanings(fresh)
+
+
+# -- MeaningMap --------------------------------------------------------------
+
+
+def test_meaning_map_reads_as_the_dict_it_was_built_from():
+    import pickle
+
+    meanings = {"A": frozenset({"x", "y"}), "B": frozenset({"z"}), "C": frozenset()}
+    meaning = MeaningMap.of(meanings)
+    assert meaning == meanings and meanings == meaning
+    assert dict(meaning) == meanings and len(meaning) == 3 and "A" in meaning
+    assert MeaningMap.of(meaning) is meaning
+    assert meaning != {**meanings, "C": frozenset({"x"})}
+    clone = pickle.loads(pickle.dumps(meaning))
+    assert clone == meaning and clone.masks == meaning.masks
+    with pytest.raises(TypeError):
+        meaning["D"] = frozenset()
+    with pytest.raises(TypeError):
+        hash(meaning)
+
+
+def test_meaning_map_rename_shares_masks_and_reencodes_over_an_alphabet():
+    meaning = MeaningMap(("x", "y", "z"), {"A": 0b011, "B": 0b100})
+    renamed = meaning.renamed({"x": "p", "y": "q", "z": "r"})
+    assert renamed.masks is meaning.masks
+    assert renamed == {"A": frozenset({"p", "q"}), "B": frozenset({"r"})}
+    # Members in the alphabet's order: the masks are read as they are.
+    assert meaning.masks_over(Alphabet("xyz"), ["B", "A"]) == [0b100, 0b011]
+    # Members in another order: each meaning is re-encoded.
+    shuffled = MeaningMap(("z", "x", "y"), {"A": 0b110, "B": 0b001})
+    assert shuffled == meaning
+    assert shuffled.masks_over(Alphabet("xyz"), ["B", "A"]) == [0b100, 0b011]
+
+
+def test_meaning_map_keeps_decoded_meanings_only_when_small():
+    small = MeaningMap(("x", "y"), {"A": 0b11})
+    assert small["A"] is small["A"]
+    members = tuple(f"m{i}" for i in range(300))
+    large = MeaningMap(members, {f"L{i}": 1 << i for i in range(300)})
+    assert large["L7"] == frozenset({"m7"})
+    assert large["L7"] is not large["L7"]
+

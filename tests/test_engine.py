@@ -174,6 +174,42 @@ def test_renamed_problem_hits_via_canonical_hash(engine, sc3):
     assert hit.full.name == f"{renamed.name}+1"
 
 
+@pytest.mark.parametrize(
+    "name, delta", [("sinkless-coloring", 3), ("weak-2-coloring", 3), ("4-coloring", 2)]
+)
+def test_renamed_hit_translates_full_meaning(engine, name, delta):
+    from repro.core.certificate import _structured_form
+    from repro.core.speedup import SpeedupResult
+
+    problem = get_problem(name, delta)
+    stored = engine.speedup(problem)
+    labels = sorted(problem.labels)
+    # Reversing the name order makes the label correspondence non-monotone.
+    mapping = {label: f"t{len(labels) - i:03d}" for i, label in enumerate(labels)}
+    twin = problem.renamed(mapping, name=f"{name}-twin")
+    hit = engine.speedup(twin)
+    assert engine.cache_stats()["hits"] == 1
+
+    # Mapped back through the renaming, the hit's meanings are the stored
+    # ones as sets (the translation may compose the renaming with an
+    # automorphism, which permutes meanings among labels).
+    back = {new: old for old, new in mapping.items()}
+    half_back = {
+        half: frozenset(back[member] for member in members)
+        for half, members in hit.half_meaning.items()
+    }
+    assert set(half_back.values()) == set(stored.half_meaning.values())
+    assert {
+        frozenset(half_back[half] for half in members)
+        for members in hit.full_meaning.values()
+    } == {
+        frozenset(stored.half_meaning[half] for half in members)
+        for members in stored.full_meaning.values()
+    }
+    assert _structured_form(hit) == _structured_form(compute_speedup(twin))
+    assert SpeedupResult.from_dict(hit.to_dict()) == hit
+
+
 def test_cache_disabled(sc3):
     engine = Engine(EngineConfig(cache=False))
     first = engine.speedup(sc3)
@@ -211,9 +247,25 @@ def test_cache_weight_bound_evicts(sc3, mis_d3):
 
 
 def test_cached_result_meanings_are_read_only(engine, sc3):
+    import pickle
+
+    from repro.core.speedup import SpeedupResult, half_step
+
+    def assert_read_only(meaning):
+        with pytest.raises(TypeError):
+            meaning["X"] = frozenset()
+        with pytest.raises(TypeError):
+            del meaning[next(iter(meaning))]
+
     result = engine.speedup(sc3)
-    with pytest.raises(TypeError):
-        result.full_meaning["X"] = frozenset()
+    hit = engine.speedup(_renamed(sc3))
+    fresh = compute_speedup(sc3)
+    loaded = SpeedupResult.from_dict(result.to_dict())
+    unpickled = pickle.loads(pickle.dumps(hit))
+    for each in (result, hit, fresh, loaded, unpickled):
+        assert_read_only(each.half_meaning)
+        assert_read_only(each.full_meaning)
+    assert_read_only(half_step(sc3).meaning)
     # The cache entry stays intact for later hits.
     assert engine.speedup(sc3) is result
 

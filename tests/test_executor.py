@@ -224,8 +224,8 @@ def test_process_results_pickle_round_trip_through_worker(sc3, so3):
     for result, problem in zip(results, [sc3, so3]):
         assert result.original == problem
         # The returned payload crossed a real process boundary already; it
-        # must also survive another explicit round trip (frozen views and
-        # all).
+        # must also survive another explicit round trip (read-only meaning
+        # maps and all).
         clone = pickle.loads(pickle.dumps(result))
         assert clone.full == result.full
         assert dict(clone.full_meaning) == dict(result.full_meaning)

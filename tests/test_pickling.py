@@ -2,16 +2,19 @@
 
 ROADMAP item (a) swaps the engine's thread pool for processes; that dies at
 runtime if any object crossing the boundary -- problems, interned views,
-speedup results (including the *cache-frozen* variant whose meaning dicts
-are ``MappingProxyType``), search results, certificates -- drags along an
-unpicklable member.  The ``unpicklable-member`` lint rule guards the class
-definitions statically; these tests hold the custom ``__reduce__`` /
-``__getstate__`` implementations to their side of the bargain.
+speedup results (including renaming-translated cache hits, whose read-only
+``MeaningMap`` meanings share the stored entry's masks), search results,
+certificates -- drags along an unpicklable member.  The
+``unpicklable-member`` lint rule guards the class definitions statically;
+these tests hold the custom ``__reduce__`` / ``__getstate__``
+implementations to their side of the bargain.
 
 Two of these are regression tests for real bugs the static audit found:
 
-* ``SpeedupResult`` returned by a cache *hit* holds mapping proxies and
-  could not be pickled at all before ``__reduce__`` was added;
+* ``SpeedupResult`` returned by a cache *hit* once held mapping proxies and
+  could not be pickled at all; its ``__reduce__`` now ships the fields
+  (meaning maps included, still read-only) and leaves the out-of-band
+  kernel stats behind;
 * ``Problem.__getstate__`` now drops the memoised interned view and
   cached properties, which used to bloat every pickle (and silently
   shipped derived state that should be recomputed on the other side).
@@ -85,16 +88,29 @@ def test_fresh_speedup_result_roundtrip() -> None:
 
 
 def test_cache_frozen_speedup_result_roundtrip(engine: Engine) -> None:
-    """The mappingproxy regression: a cache hit hands out a frozen result,
-    which must still pickle (via __reduce__) to plain dicts."""
-    problem = sinkless_orientation(3)
+    """Cache hits pickle equal and read-only, without their kernel stats."""
+    problem = sinkless_coloring(3)
+    stored = engine.speedup(problem)
+    assert stored.kernel_stats is not None
+    labels = sorted(problem.labels)
+    twin = problem.renamed({label: f"t{len(labels) - i}" for i, label in enumerate(labels)})
+    hit = engine.speedup(twin)
+    assert engine.cache_stats()["hits"] == 1
+    assert hit.full_meaning.masks is stored.full_meaning.masks
+    clone = _roundtrip(hit)
+    assert clone == hit
+    assert clone.to_dict() == hit.to_dict()
+    # The identical problem's hit is the stored object, stats and all.
+    assert engine.speedup(problem) is stored
+    assert _roundtrip(stored).kernel_stats is None
+    for meaning in (clone.half_meaning, clone.full_meaning):
+        with pytest.raises(TypeError):
+            meaning["X"] = frozenset()
+    # A run served from the cache pickles too.
     engine.run(problem, max_steps=1)
-    second = engine.run(problem, max_steps=1)  # served from the cache
-    step = second.steps[1]
-    clone = _roundtrip(step.problem)
-    assert clone == step.problem
-    clone_run = _roundtrip(second)
-    assert clone_run.to_dict() == second.to_dict()
+    second = engine.run(problem, max_steps=1)
+    assert _roundtrip(second.steps[1].problem) == second.steps[1].problem
+    assert _roundtrip(second).to_dict() == second.to_dict()
 
 
 def test_search_result_and_certificate_roundtrip(engine: Engine) -> None:

@@ -82,6 +82,7 @@ PICKLABLE_CLASSES: frozenset[str] = frozenset(
         "EdgeRelation",
         "SpeedupResult",
         "HalfStepResult",
+        "MeaningMap",
         "RelaxationMove",
         "CertificateStep",
         "LowerBoundCertificate",
